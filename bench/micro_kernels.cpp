@@ -7,8 +7,8 @@
 
 #include "bench_util/runner.hpp"
 #include "core/buckets.hpp"
-#include "core/delta_engine.hpp"
 #include "core/dist_graph.hpp"
+#include "core/engine_job.hpp"
 #include "core/solver.hpp"
 #include "graph/graph_algos.hpp"
 #include "graph/rmat.hpp"

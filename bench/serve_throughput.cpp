@@ -1,9 +1,9 @@
 // Serving-subsystem acceptance benchmark, three comparisons on RMAT-1 at a
 // fixed rank count:
 //
-//   (a) persistent MachineSession vs spawn-per-query Solver::solve on
-//       back-to-back single-root latency (same work, so the session wins by
-//       the thread create/join overhead it amortizes away);
+//   (a) persistent MachineSession vs spawn-per-query (a fresh session per
+//       solve) on back-to-back single-root latency (same work, so the
+//       session wins by the thread create/join overhead it amortizes away);
 //   (b) batched multi-root serving (QueryEngine, max_batch 8) vs sequential
 //       solve_batch over the same roots, in queries/s and aggregate GTEPS;
 //   (c) an open-loop Zipf stream against a cached engine: cache hit rate,
@@ -24,7 +24,10 @@
 #include "bench_util/runner.hpp"
 #include "bench_util/stats_io.hpp"
 #include "bench_util/table.hpp"
+#include "core/dist_graph.hpp"
+#include "core/engine_job.hpp"
 #include "core/solver.hpp"
+#include "runtime/machine_session.hpp"
 #include "serve/query_engine.hpp"
 #include "serve/workload.hpp"
 
@@ -69,8 +72,11 @@ SessionVsSpawn run_session_vs_spawn(const CsrGraph& g) {
   constexpr int kWarmup = 4;
   constexpr int kMeasured = 40;
 
-  // Spawn-per-query: every solve() spawns and joins the rank threads.
-  Solver solver(g, {.machine = {.num_ranks = kRanks}});
+  // Spawn-per-query: a fresh session per solve spawns and joins the rank
+  // threads around one engine job on prebuilt views.
+  const BlockPartition part(g.num_vertices(), kRanks);
+  const std::vector<LocalEdgeView> views =
+      build_all_views(g, part, options.delta);
   // Persistent session: rank threads parked between queries. max_batch 1 and
   // no cache make each query exactly one single-root job on the session.
   ServeConfig config;
@@ -85,7 +91,18 @@ SessionVsSpawn run_session_vs_spawn(const CsrGraph& g) {
   for (int q = 0; q < kWarmup + kMeasured; ++q) {
     const vid_t root = roots[static_cast<std::size_t>(q) % roots.size()];
     const auto t0 = Clock::now();
-    const auto r = solver.solve(root, options);
+    SsspResult r;
+    {
+      MachineSession once({.num_ranks = kRanks});
+      run_engine(once,
+                 {.graph = &g,
+                  .part = part,
+                  .views = &views,
+                  .dist = &r.dist,
+                  .root = root,
+                  .stats = &r.stats},
+                 options);
+    }
     const double spawn_s = seconds_since(t0);
     const auto t1 = Clock::now();
     const QueryResult qr = engine.query(root, options);

@@ -3,13 +3,8 @@
 
 Drives the check families A1-A5 (docs/STATIC_ANALYSIS.md) over the
 project sources, discovered through the build's compile_commands.json
-plus the header set under src/. Two frontends produce the shared TU
-model:
-
-  * frontend_clang (libclang via clang.cindex) — preferred when the
-    Python bindings and a loadable libclang are installed;
-  * frontend_lex — a zero-dependency lexical frontend, the deterministic
-    reference that CI runs everywhere.
+plus the header set under src/. The zero-dependency lexical frontend
+(frontend_lex) builds the shared TU model.
 
 Findings print one per line as `path:line: [A#/rule] message`. Waivers
 live in scripts/analysis/policy.toml ([[waiver]], matched on
@@ -19,7 +14,6 @@ clean, 1 = findings or stale waivers, 2 = usage/configuration error.
 
 Usage:
   scripts/analysis/analyze.py [--compdb build/compile_commands.json]
-                              [--frontend auto|lex|clang]
                               [--json out.json] [--quiet]
 """
 
@@ -85,32 +79,12 @@ def discover_files(root: Path, compdb: Path | None,
     return sorted(rels)
 
 
-def pick_frontend(name: str):
-    """Returns (module, label). `auto` prefers libclang, falls back."""
-    if name in ("auto", "clang"):
-        try:
-            import frontend_clang
-            if frontend_clang.available():
-                return frontend_clang, "clang"
-            if name == "clang":
-                raise RuntimeError("libclang requested but not loadable")
-        except ImportError:
-            if name == "clang":
-                raise
-    return frontend_lex, "lex"
-
-
-def load_tus(root: Path, rels: list[str], frontend,
-             compdb: Path | None = None) -> dict[str, TU]:
+def load_tus(root: Path, rels: list[str]) -> dict[str, TU]:
     tus: dict[str, TU] = {}
     for rel in rels:
         path = root / rel
-        if not path.is_file():
-            continue
-        if hasattr(frontend, "parse_file_compdb"):
-            tus[rel] = frontend.parse_file_compdb(path, rel, compdb)
-        else:
-            tus[rel] = frontend.parse_file(path, rel)
+        if path.is_file():
+            tus[rel] = frontend_lex.parse_file(path, rel)
     return tus
 
 
@@ -152,8 +126,6 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--compdb", type=Path,
                     default=REPO / "build" / "compile_commands.json")
-    ap.add_argument("--frontend", choices=("auto", "lex", "clang"),
-                    default="auto")
     ap.add_argument("--json", type=Path, default=None,
                     help="write a findings artifact to this path")
     ap.add_argument("--quiet", action="store_true")
@@ -162,14 +134,8 @@ def main() -> int:
     layers_cfg = tomllib.loads((HERE / "layers.toml").read_text())
     policy = tomllib.loads((HERE / "policy.toml").read_text())
 
-    try:
-        frontend, label = pick_frontend(args.frontend)
-    except Exception as exc:  # --frontend clang without libclang
-        print(f"analyze: {exc}", file=sys.stderr)
-        return 2
-
     rels = discover_files(REPO, args.compdb, args.quiet)
-    tus = load_tus(REPO, rels, frontend, args.compdb)
+    tus = load_tus(REPO, rels)
     findings = run_checks(tus, layers_cfg, policy)
     findings.sort(key=lambda f: (f.file, f.line, f.check, f.rule))
     kept, waived, stale = apply_waivers(findings, policy)
@@ -184,7 +150,6 @@ def main() -> int:
     if args.json is not None:
         args.json.parent.mkdir(parents=True, exist_ok=True)
         args.json.write_text(json.dumps({
-            "frontend": label,
             "files_analyzed": len(tus),
             "findings": [vars(f) for f in kept],
             "waived": [vars(f) for f in waived],
@@ -192,7 +157,7 @@ def main() -> int:
         }, indent=2) + "\n")
 
     if not args.quiet:
-        print(f"analyze: frontend={label} files={len(tus)} "
+        print(f"analyze: files={len(tus)} "
               f"findings={len(kept)} waived={len(waived)} "
               f"stale_waivers={len(stale)}", file=sys.stderr)
     return 1 if kept or stale else 0

@@ -206,7 +206,7 @@ def _unused_includes(tus: dict[str, TU],
 
     # Provided names per file, closed over `IWYU pragma: export` edges: a
     # facade header that exports an include provides that header's names
-    # as its own API (src/core/seeded_solve.hpp re-exports RelaxMsg).
+    # as its own API.
     provided_by: dict[str, set[str]] = {}
     for rel, tu in tus.items():
         provided_by[rel] = (tu.toplevel_names | set(tu.classes)

@@ -7,11 +7,7 @@ is ambiguous the walk errs toward recording *more* events (extra call
 sites, extra writes); the checks are designed so that over-approximated
 events are filtered or harmless, while *missing* a lock acquisition or an
 include would silently weaken a check — so those paths are kept simple
-and total.
-
-The libclang frontend (frontend_clang.py) produces the same model with a
-real AST when libclang is installed; the fixture selftest runs both when
-possible, pinning their behavior together.
+and total. The fixture selftest (selftest.py) pins that behavior.
 """
 
 from __future__ import annotations

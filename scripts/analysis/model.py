@@ -1,8 +1,7 @@
-"""Translation-unit model shared by every analyzer frontend.
+"""Translation-unit model of the analyzer.
 
-Both frontends (frontend_lex.py, frontend_clang.py) reduce a C++ file to
-this model; the check families (checks/) consume only the model, so a
-check behaves identically regardless of which frontend produced it. The
+The lexical frontend (frontend_lex.py) reduces a C++ file to this model;
+the check families (checks/) consume only the model, never tokens. The
 model is deliberately *flat* — lists of declarations and in-order event
 streams, not a tree — because that is the least common denominator the
 lexical frontend can produce reliably and it is sufficient for every
@@ -21,8 +20,8 @@ class Include:
     line: int
     is_system: bool    # <...> vs "..."
     # `// IWYU pragma: export` on the directive: this header re-exports
-    # the included header's names as part of its own API (facade pattern;
-    # see src/core/seeded_solve.hpp re-exporting RelaxMsg to src/update/).
+    # the included header's names as part of its own API (the facade
+    # pattern: an umbrella or facade header that forwards a dependency).
     exported: bool = False
 
 

@@ -8,10 +8,6 @@ and nothing unmarked flagged. A silently-disabled or over-firing check
 fails here, not in review. Also unit-tests the waiver machinery (match,
 stale detection) since the real tree intentionally carries no waivers to
 exercise it.
-
-When libclang is loadable the whole corpus additionally runs under the
-clang frontend and must produce identical findings, pinning the two
-frontends together.
 """
 
 from __future__ import annotations
@@ -50,7 +46,7 @@ def expected_markers(group: Path) -> set[tuple[str, str, str, int]]:
     return exp
 
 
-def run_group(group: Path, frontend) -> tuple[bool, list[str]]:
+def run_group(group: Path) -> tuple[bool, list[str]]:
     layers_path = group / "layers.toml"
     policy_path = group / "policy.toml"
     layers_cfg = tomllib.loads(layers_path.read_text()) \
@@ -60,7 +56,7 @@ def run_group(group: Path, frontend) -> tuple[bool, list[str]]:
     tus = {}
     for p in fixture_files(group):
         rel = p.relative_to(group).as_posix()
-        tus[rel] = frontend.parse_file(p, rel)
+        tus[rel] = frontend_lex.parse_file(p, rel)
     findings = run_checks(tus, layers_cfg, policy)
     got = {(f.check, f.rule, f.file, f.line) for f in findings}
     exp = expected_markers(group)
@@ -99,14 +95,6 @@ def waiver_unit_test() -> tuple[bool, list[str]]:
 
 
 def main() -> int:
-    frontends = [("lex", frontend_lex)]
-    try:
-        import frontend_clang
-        if frontend_clang.available():
-            frontends.append(("clang", frontend_clang))
-    except ImportError:
-        pass
-
     groups = sorted(p for p in FIXTURES.iterdir() if p.is_dir())
     if not groups:
         print("analysis_selftest: no fixture groups found", file=sys.stderr)
@@ -114,15 +102,14 @@ def main() -> int:
 
     failures: list[str] = []
     checks_seen: set[str] = set()
-    for label, frontend in frontends:
-        for group in groups:
-            ok, problems = run_group(group, frontend)
-            exp = expected_markers(group)
-            checks_seen.update(item[0] for item in exp)
-            status = "ok" if ok else "FAIL"
-            print(f"analysis_selftest [{label}] {group.name}: "
-                  f"{len(exp)} seeded finding(s) {status}")
-            failures.extend(problems)
+    for group in groups:
+        ok, problems = run_group(group)
+        exp = expected_markers(group)
+        checks_seen.update(item[0] for item in exp)
+        status = "ok" if ok else "FAIL"
+        print(f"analysis_selftest {group.name}: "
+              f"{len(exp)} seeded finding(s) {status}")
+        failures.extend(problems)
 
     ok, problems = waiver_unit_test()
     print(f"analysis_selftest waiver machinery: {'ok' if ok else 'FAIL'}")
@@ -136,7 +123,6 @@ def main() -> int:
     for line in failures:
         print(line)
     print(f"analysis_selftest: {len(groups)} group(s), "
-          f"{len(frontends)} frontend(s), "
           f"{len(failures)} problem(s)", file=sys.stderr)
     return 1 if failures else 0
 

@@ -27,19 +27,23 @@ constexpr std::uint64_t kSpeculationWindow = 0;
 
 }  // namespace
 
-AsyncEngine::AsyncEngine(RankCtx& ctx, const AsyncEngineShared& shared)
+AsyncEngine::AsyncEngine(RankCtx& ctx, const EngineJob& job,
+                         const SsspOptions& options,
+                         AsyncChannel<RelaxMsg>& channel, LevelBoard& board)
     : ctx_(ctx),
-      sh_(shared),
-      view_((*shared.views)[ctx.rank()]),
-      channel_(*shared.channel),
-      begin_(shared.part.begin(ctx.rank())),
-      nloc_(shared.part.count(ctx.rank())),
-      pq_(shared.options->delta),
+      job_(job),
+      opt_(options),
+      view_((*job.views)[ctx.rank()]),
+      channel_(channel),
+      board_(board),
+      begin_(job.part.begin(ctx.rank())),
+      nloc_(job.part.count(ctx.rank())),
+      pq_(options.delta),
       detector_(ctx.rank(), ctx.num_ranks()),
-      cost_(shared.options->cost_model) {
-  dist_ = std::span<dist_t>(sh_.dist->data() + begin_, nloc_);
-  if (sh_.parent != nullptr) {
-    parent_ = std::span<vid_t>(sh_.parent->data() + begin_, nloc_);
+      cost_(options.cost_model) {
+  dist_ = std::span<dist_t>(job_.dist->data() + begin_, nloc_);
+  if (job_.parent != nullptr) {
+    parent_ = std::span<vid_t>(job_.parent->data() + begin_, nloc_);
   }
   out_pool_.configure(/*lanes=*/1, ctx_.num_ranks());
   in_pending_.assign(nloc_, 0);
@@ -47,8 +51,8 @@ AsyncEngine::AsyncEngine(RankCtx& ctx, const AsyncEngineShared& shared)
   sync0_allreduces_ = ctx_.traffic().allreduces;
   sync0_barriers_ = ctx_.traffic().barriers;
 
-  if (sh_.options->trace != nullptr) {
-    tlane_ = &sh_.options->trace->thread_lane(
+  if (opt_.trace != nullptr) {
+    tlane_ = &opt_.trace->thread_lane(
         "rank" + std::to_string(ctx_.rank()));
   }
 }
@@ -62,10 +66,10 @@ void AsyncEngine::init() {
   if (!parent_.empty()) {
     std::fill(parent_.begin(), parent_.end(), kInvalidVid);
   }
-  if (sh_.part.owner(sh_.root) == ctx_.rank()) {
-    const vid_t local = to_local(sh_.root);
+  if (job_.part.owner(job_.root) == ctx_.rank()) {
+    const vid_t local = to_local(job_.root);
     dist_[local] = 0;
-    if (!parent_.empty()) parent_[local] = sh_.root;
+    if (!parent_.empty()) parent_[local] = job_.root;
     pq_.push(local, 0);
   }
 }
@@ -91,7 +95,7 @@ void AsyncEngine::ensure_phase() {
   // lazily: exactly one begin_phase per flush. Nothing may push into a
   // shard outside an open phase — begin_phase clears shard sizes.
   if (phase_open_) return;
-  if (sh_.options->data_path == DataPath::kReference) {
+  if (opt_.data_path == DataPath::kReference) {
     // The baseline pays allocation churn every phase, exactly like the
     // bucket-synchronous reference path does.
     out_pool_.release();
@@ -105,7 +109,7 @@ void AsyncEngine::relax_arcs(vid_t v, dist_t d, std::span<const Arc> arcs) {
   for (const Arc& a : arcs) {
     const dist_t nd = d + a.w;
     ++counters_.async_relaxations;
-    const rank_t owner = sh_.part.owner(a.to);
+    const rank_t owner = job_.part.owner(a.to);
     if (owner == self) {
       // Intra-rank work never crosses the network: applied on the spot,
       // invisible to the quiescence balance.
@@ -168,9 +172,9 @@ bool AsyncEngine::flush_sends() {
     // is even delivered, so the speculation window sees in-flight work.
     std::uint64_t minb = kInfBucket;
     for (const RelaxMsg& m : shard) {
-      minb = std::min(minb, bucket_of(m.nd, sh_.options->delta));
+      minb = std::min(minb, bucket_of(m.nd, opt_.delta));
     }
-    sh_.board->donate(d, minb);
+    board_.donate(d, minb);
     ctx_.traffic().add(PhaseKind::kAsync, n, n * sizeof(RelaxMsg));
     bytes_sent_ += n * sizeof(RelaxMsg);
     // Count the send before posting: the receiver may drain and count the
@@ -207,8 +211,8 @@ void AsyncEngine::main_loop() {
 
     if (!pq_.empty()) {
       const std::uint64_t next = pq_.min_bucket();
-      sh_.board->publish(self, next);
-      if (next > sh_.board->global_min() + kSpeculationWindow) {
+      board_.publish(self, next);
+      if (next > board_.global_min() + kSpeculationWindow) {
         // A peer's frontier is still below the window: relaxing this
         // bucket now is work that frontier is about to invalidate. Make
         // our own frontier visible to it, then yield — not a timed park:
@@ -231,7 +235,7 @@ void AsyncEngine::main_loop() {
       if (pq_.empty() || pq_.min_bucket() != next) close_level();
       worked = true;
     } else {
-      sh_.board->publish(self, kInfBucket);
+      board_.publish(self, kInfBucket);
     }
     // Re-check the inbox before declaring this rank passive: the batch we
     // just relaxed may already have produced replies.
@@ -262,7 +266,7 @@ void AsyncEngine::main_loop() {
   }
 }
 
-void AsyncEngine::run() {
+RankCounters AsyncEngine::run() {
   ctx_.set_trace(tlane_);
   double total_wall = 0;
   {
@@ -274,6 +278,7 @@ void AsyncEngine::run() {
   // The async loop has no bucket bookkeeping; all wall time is OtherTime.
   counters_.wall_other_time_s = total_wall;
   finalize();
+  return counters_;
 }
 
 void AsyncEngine::finalize() {
@@ -282,7 +287,6 @@ void AsyncEngine::finalize() {
   // SsspStats::global_syncs() and bench/async_latency gates on it.
   counters_.allreduces = ctx_.traffic().allreduces - sync0_allreduces_ + 1;
   counters_.barriers = ctx_.traffic().barriers - sync0_barriers_;
-  (*sh_.rank_counters)[ctx_.rank()] = counters_;
 
   struct AsyncReduce {
     double wall = 0;
@@ -308,7 +312,7 @@ void AsyncEngine::finalize() {
       AsyncReduceOp{});
 
   if (ctx_.rank() == 0) {
-    SsspStats& s = *sh_.stats;
+    SsspStats& s = *job_.stats;
     s.sync_allreduces = red.allreduces;
     s.sync_barriers = red.barriers;
     s.quiescence_rounds = red.rounds;
@@ -329,9 +333,12 @@ void AsyncEngine::finalize() {
   }
 }
 
-void run_async_sssp_job(RankCtx& ctx, const AsyncEngineShared& shared) {
-  AsyncEngine engine(ctx, shared);
-  engine.run();
+RankCounters run_async_sssp_job(RankCtx& ctx, const EngineJob& job,
+                                const SsspOptions& options,
+                                AsyncChannel<RelaxMsg>& channel,
+                                LevelBoard& board) {
+  AsyncEngine engine(ctx, job, options, channel, board);
+  return engine.run();
 }
 
 }  // namespace parsssp

@@ -23,8 +23,8 @@
 // ring (runtime/quiescence.hpp) riding the same channel as the payload.
 //
 // Contract: distances are bit-identical to the bucket-synchronous OPT
-// engine's (both compute the exact SSSP); parents are canonicalized by the
-// caller (core/parent_canon.hpp) so they match too. The engine honors
+// engine's (both compute the exact SSSP); parents are canonicalized by
+// run_engine (core/engine_job.hpp) so they match too. The engine honors
 // delta (priority granularity), data_path (pooled buffer recycling vs the
 // allocate-per-round reference baseline) and track_parents; the
 // bucket-synchronous work-shaping knobs (pruning, ios, hybrid_tau, ...)
@@ -37,8 +37,8 @@
 #include <span>
 #include <vector>
 
-#include "core/delta_engine.hpp"  // IWYU pragma: export (RelaxMsg is the wire format)
 #include "core/dist_graph.hpp"
+#include "core/engine_job.hpp"
 #include "core/instrumentation.hpp"
 #include "core/lazy_pq.hpp"
 #include "core/options.hpp"
@@ -99,30 +99,17 @@ class LevelBoard {
   std::vector<Slot> slots_;
 };
 
-/// Inputs and output slots shared by all ranks of one asynchronous solve.
-/// The caller owns the channel and the level board: both must be freshly
-/// constructed (or fully quiescent) and sized to the machine's rank count.
-struct AsyncEngineShared {
-  const CsrGraph* graph = nullptr;
-  BlockPartition part;
-  const std::vector<LocalEdgeView>* views = nullptr;
-  std::vector<dist_t>* dist = nullptr;  ///< global; rank writes its slice
-  std::vector<vid_t>* parent = nullptr;  ///< optional; null disables
-  vid_t root = 0;
-  const SsspOptions* options = nullptr;
-  std::vector<RankCounters>* rank_counters = nullptr;  ///< one slot per rank
-  SsspStats* stats = nullptr;  ///< structure fields written by rank 0
-  AsyncChannel<RelaxMsg>* channel = nullptr;
-  LevelBoard* board = nullptr;
-};
-
 class AsyncEngine {
  public:
-  AsyncEngine(RankCtx& ctx, const AsyncEngineShared& shared);
+  /// `channel` and `board` must be freshly constructed (or fully
+  /// quiescent) and sized to the machine's rank count.
+  AsyncEngine(RankCtx& ctx, const EngineJob& job, const SsspOptions& options,
+              AsyncChannel<RelaxMsg>& channel, LevelBoard& board);
 
-  /// Executes the full SSSP. Collective: all ranks run this together (the
-  /// only collective operation inside is the final stats reduction).
-  void run();
+  /// Executes the full SSSP and returns this rank's counters. Collective:
+  /// all ranks run this together (the only collective operation inside is
+  /// the final stats reduction).
+  RankCounters run();
 
  private:
   void init();
@@ -154,9 +141,11 @@ class AsyncEngine {
   vid_t to_global(vid_t local) const { return begin_ + local; }
 
   RankCtx& ctx_;
-  AsyncEngineShared sh_;
+  const EngineJob& job_;
+  const SsspOptions& opt_;
   const LocalEdgeView& view_;
   AsyncChannel<RelaxMsg>& channel_;
+  LevelBoard& board_;
   std::span<dist_t> dist_;   ///< owned slice of the global distance array
   std::span<vid_t> parent_;  ///< owned slice of the parent array (optional)
   vid_t begin_ = 0;
@@ -194,7 +183,11 @@ class AsyncEngine {
   TraceLane* tlane_ = nullptr;
 };
 
-/// Convenience entry point: the Machine job body for one async solve.
-void run_async_sssp_job(RankCtx& ctx, const AsyncEngineShared& shared);
+/// The session job body for one async solve (run by run_engine, which owns
+/// the channel and the board); returns this rank's counters.
+RankCounters run_async_sssp_job(RankCtx& ctx, const EngineJob& job,
+                                const SsspOptions& options,
+                                AsyncChannel<RelaxMsg>& channel,
+                                LevelBoard& board);
 
 }  // namespace parsssp

@@ -46,26 +46,28 @@ struct CatReduceOp {
 
 }  // namespace
 
-DeltaEngine::DeltaEngine(RankCtx& ctx, const EngineShared& shared)
+DeltaEngine::DeltaEngine(RankCtx& ctx, const EngineJob& job,
+                         const SsspOptions& options)
     : ctx_(ctx),
-      sh_(shared),
-      view_((*shared.views)[ctx.rank()]),
-      begin_(shared.part.begin(ctx.rank())),
-      nloc_(shared.part.count(ctx.rank())),
-      cost_(shared.options->cost_model) {
-  dist_ = std::span<dist_t>(sh_.dist->data() + begin_, nloc_);
-  if (sh_.parent != nullptr) {
-    parent_ = std::span<vid_t>(sh_.parent->data() + begin_, nloc_);
+      job_(job),
+      opt_(options),
+      view_((*job.views)[ctx.rank()]),
+      begin_(job.part.begin(ctx.rank())),
+      nloc_(job.part.count(ctx.rank())),
+      cost_(options.cost_model) {
+  dist_ = std::span<dist_t>(job_.dist->data() + begin_, nloc_);
+  if (job_.parent != nullptr) {
+    parent_ = std::span<vid_t>(job_.parent->data() + begin_, nloc_);
   }
-  seeded_ = sh_.settled_init != nullptr;
+  seeded_ = job_.settled_init != nullptr;
   if (seeded_) {
-    const char* preset = sh_.settled_init->data() + begin_;
+    const char* preset = job_.settled_init->data() + begin_;
     settled_.assign(preset, preset + nloc_);
     preset_.assign(preset, preset + nloc_);
     settled_local_cum_ = static_cast<std::uint64_t>(
         std::count(settled_.begin(), settled_.end(), char{1}));
-    if (sh_.changed != nullptr) {
-      changed_ = std::span<char>(sh_.changed->data() + begin_, nloc_);
+    if (job_.changed != nullptr) {
+      changed_ = std::span<char>(job_.changed->data() + begin_, nloc_);
     }
   } else {
     settled_.assign(nloc_, 0);
@@ -84,8 +86,8 @@ DeltaEngine::DeltaEngine(RankCtx& ctx, const EngineShared& shared)
   sync0_allreduces_ = ctx_.traffic().allreduces;
   sync0_barriers_ = ctx_.traffic().barriers;
 
-  if (sh_.options->trace != nullptr) {
-    tlane_ = &sh_.options->trace->thread_lane(
+  if (opt_.trace != nullptr) {
+    tlane_ = &opt_.trace->thread_lane(
         "rank" + std::to_string(ctx_.rank()));
   }
 }
@@ -110,13 +112,13 @@ DeltaEngine::StepReduce DeltaEngine::account_step(std::uint64_t work,
 std::uint64_t DeltaEngine::next_bucket(std::int64_t after) {
   TimedSection sw(counters_.wall_bucket_time_s, tlane_, SpanCat::kBucketScan);
   const std::uint64_t local = min_unsettled_bucket_above(
-      dist_, settled_, after, sh_.options->delta);
-  model_bkt_ns_ += cost_.scan_cost(sh_.part.block_size());
+      dist_, settled_, after, opt_.delta);
+  model_bkt_ns_ += cost_.scan_cost(job_.part.block_size());
   return ctx_.allreduce(local, MinOp{});
 }
 
 void DeltaEngine::begin_relax_emit() {
-  if (sh_.options->data_path == DataPath::kReference) {
+  if (opt_.data_path == DataPath::kReference) {
     // The baseline pays the seed's churn: fresh allocations every phase.
     relax_pool_.release();
   }
@@ -136,7 +138,7 @@ std::pair<std::uint64_t, std::uint64_t> DeltaEngine::emit_totals() const {
 
 std::uint64_t DeltaEngine::relax_exchange(PhaseKind kind,
                                           bool allow_reduction) {
-  const SsspOptions& o = *sh_.options;
+  const SsspOptions& o = opt_;
   if (o.data_path == DataPath::kReference) {
     const std::uint64_t posted = relax_pool_.pending_messages();
     ctx_.exchange_merged(relax_pool_, kind);
@@ -145,9 +147,9 @@ std::uint64_t DeltaEngine::relax_exchange(PhaseKind kind,
   if (o.sender_reduction && allow_reduction) {
     const rank_t ranks = ctx_.num_ranks();
     const unsigned lanes = relax_pool_.lanes();
-    reducer_.ensure(sh_.part.block_size());
+    reducer_.ensure(job_.part.block_size());
     for (rank_t d = 0; d < ranks; ++d) {
-      const vid_t dest_begin = sh_.part.begin(d);
+      const vid_t dest_begin = job_.part.begin(d);
       reducer_.begin_dest();
       for (unsigned l = 0; l < lanes; ++l) {
         reducer_.reduce(
@@ -169,7 +171,7 @@ std::uint64_t DeltaEngine::apply_incoming(std::uint64_t frontier_k,
   std::uint64_t total = 0;
   for (const auto& batch : relax_pool_.incoming()) total += batch.size();
   ScopedSpan span(tlane_, SpanCat::kApply, total);
-  const SsspOptions& o = *sh_.options;
+  const SsspOptions& o = opt_;
   if (o.data_path == DataPath::kPooled && o.parallel_apply &&
       ctx_.pool().lanes() > 1 && total != 0) {
     apply_parallel(frontier_k, mode);
@@ -180,7 +182,7 @@ std::uint64_t DeltaEngine::apply_incoming(std::uint64_t frontier_k,
 }
 
 void DeltaEngine::apply_serial(std::uint64_t frontier_k, InsertMode mode) {
-  const std::uint32_t delta = sh_.options->delta;
+  const std::uint32_t delta = opt_.delta;
   for (const auto& batch : relax_pool_.incoming()) {
     for (const RelaxMsg& m : batch) {
       const vid_t local = to_local(m.v);
@@ -213,7 +215,7 @@ void DeltaEngine::apply_serial(std::uint64_t frontier_k, InsertMode mode) {
 }
 
 void DeltaEngine::apply_parallel(std::uint64_t frontier_k, InsertMode mode) {
-  const std::uint32_t delta = sh_.options->delta;
+  const std::uint32_t delta = opt_.delta;
   const auto& batches = relax_pool_.incoming();
   const unsigned lanes = ctx_.pool().lanes();
 
@@ -292,11 +294,11 @@ void DeltaEngine::apply_parallel(std::uint64_t frontier_k, InsertMode mode) {
 
 void DeltaEngine::short_phases(std::uint64_t k) {
   const bool classify = classification_active();
-  const bool ios = classify && sh_.options->ios;
+  const bool ios = classify && opt_.ios;
   const dist_t limit = classify ? bucket_end(k) : 0;
   // With Delta = infinity these "short phases" over all arcs *are* the
   // Bellman-Ford algorithm; attribute the work accordingly.
-  const bool bf_regime = sh_.options->bellman_ford_regime();
+  const bool bf_regime = opt_.bellman_ford_regime();
   std::uint64_t& relax_counter =
       bf_regime ? counters_.bf_relaxations : counters_.short_relaxations;
   const PhaseDetail::Kind detail_kind =
@@ -328,11 +330,11 @@ void DeltaEngine::short_phases(std::uint64_t k) {
       return classify ? view_.short_arcs(u) : view_.all_arcs(u);
     };
     lane_parallel_arcs(
-        ctx_.pool(), active, view_, sh_.options->heavy_degree_threshold,
+        ctx_.pool(), active, view_, opt_.heavy_degree_threshold,
         arcs_of, [&](unsigned lane, vid_t u, const Arc& a) {
           const dist_t nd = dist_[u] + a.w;
           if (ios && nd > limit) return;
-          relax_pool_.shard(lane, sh_.part.owner(a.to))
+          relax_pool_.shard(lane, job_.part.owner(a.to))
               .push_back({a.to, nd, to_global(u)});
           ++lane_emitted_[lane].value;
         });
@@ -350,14 +352,14 @@ void DeltaEngine::short_phases(std::uint64_t k) {
     // wire (post-reduction); the relax count stays the emission count.
     const StepReduce red = account_step(max_lane + applied / lanes,
                                         posted * sizeof(RelaxMsg), emitted);
-    if (sh_.options->collect_phase_details) {
+    if (opt_.collect_phase_details) {
       phase_details_.push_back({k, detail_kind, red.sum_relax});
     }
   }
 }
 
 bool DeltaEngine::decide_long_mode(std::uint64_t k) {
-  const SsspOptions& o = *sh_.options;
+  const SsspOptions& o = opt_;
   if (!o.pruning && !o.collect_bucket_details) return false;
   ScopedSpan span(tlane_, SpanCat::kDecision, k);
 
@@ -383,12 +385,12 @@ bool DeltaEngine::decide_long_mode(std::uint64_t k) {
 
   const PushPullLocal local = estimate_push_pull_local(
       view_, dist_, settled_, members_, k, o.delta, o.estimator,
-      sh_.max_weight != 0 ? sh_.max_weight : sh_.graph->max_weight(), o.ios);
+      job_.max_weight != 0 ? job_.max_weight : job_.graph->max_weight(), o.ios);
   const PpReduce global = ctx_.allreduce(
       PpReduce{local.push_volume, local.pull_requests, local.push_volume,
                local.pull_requests},
       PpReduceOp{});
-  model_bkt_ns_ += cost_.scan_cost(sh_.part.block_size());
+  model_bkt_ns_ += cost_.scan_cost(job_.part.block_size());
 
   PushPullGlobal g;
   g.push_volume = global.push_sum;
@@ -416,7 +418,7 @@ bool DeltaEngine::decide_long_mode(std::uint64_t k) {
 
 void DeltaEngine::long_phase_push(std::uint64_t k) {
   ScopedSpan span(tlane_, SpanCat::kLongPush, k);
-  const SsspOptions& o = *sh_.options;
+  const SsspOptions& o = opt_;
   const bool ios = o.ios;
   const dist_t limit = bucket_end(k);
   const unsigned lanes = ctx_.pool().lanes();
@@ -432,7 +434,7 @@ void DeltaEngine::long_phase_push(std::uint64_t k) {
         if (a.w < o.delta) {               // short arc
           if (!ios || nd <= limit) return;  // inner-short: already relaxed
         }
-        relax_pool_.shard(lane, sh_.part.owner(a.to))
+        relax_pool_.shard(lane, job_.part.owner(a.to))
             .push_back({a.to, nd, to_global(u)});
         ++lane_emitted_[lane].value;
       });
@@ -479,7 +481,7 @@ void DeltaEngine::long_phase_push(std::uint64_t k) {
 
 void DeltaEngine::long_phase_pull(std::uint64_t k) {
   ScopedSpan span(tlane_, SpanCat::kLongPull, k);
-  const SsspOptions& o = *sh_.options;
+  const SsspOptions& o = opt_;
   const dist_t kdelta = k * static_cast<dist_t>(o.delta);
   const unsigned lanes = ctx_.pool().lanes();
   const bool reference = o.data_path == DataPath::kReference;
@@ -532,13 +534,13 @@ void DeltaEngine::long_phase_pull(std::uint64_t k) {
     std::uint64_t sent = 0;
     for (const Arc& a : view_.long_arcs(v)) {
       if (static_cast<dist_t>(a.w) >= bound) break;  // weight-sorted
-      req_pool_.shard(0, sh_.part.owner(a.to)).push_back({a.to, gv, a.w});
+      req_pool_.shard(0, job_.part.owner(a.to)).push_back({a.to, gv, a.w});
       ++sent;
     }
     if (o.ios) {
       for (const Arc& a : view_.short_arcs(v)) {
         if (static_cast<dist_t>(a.w) >= bound) continue;
-        req_pool_.shard(0, sh_.part.owner(a.to)).push_back({a.to, gv, a.w});
+        req_pool_.shard(0, job_.part.owner(a.to)).push_back({a.to, gv, a.w});
         ++sent;
       }
     }
@@ -568,7 +570,7 @@ void DeltaEngine::long_phase_pull(std::uint64_t k) {
       // attract request floods, the very imbalance §III-E addresses.
       charge(lu, 1);
       if (member_stamp_[lu] != epoch_) continue;  // u not in B_k
-      relax_pool_.shard(0, sh_.part.owner(m.v))
+      relax_pool_.shard(0, job_.part.owner(m.v))
           .push_back({m.v, dist_[lu] + m.w, m.u});
       ++responses;
     }
@@ -599,9 +601,9 @@ void DeltaEngine::process_epoch(std::uint64_t k) {
   {
     TimedSection sw(counters_.wall_bucket_time_s, tlane_, SpanCat::kBucketScan,
                     k);
-    frontier_ = collect_bucket_members(dist_, settled_, k, sh_.options->delta);
+    frontier_ = collect_bucket_members(dist_, settled_, k, opt_.delta);
     for (const vid_t u : frontier_) in_frontier_[u] = 1;
-    model_bkt_ns_ += cost_.scan_cost(sh_.part.block_size());
+    model_bkt_ns_ += cost_.scan_cost(job_.part.block_size());
   }
   ++buckets_;
 
@@ -636,7 +638,7 @@ void DeltaEngine::bellman_ford_tail(std::uint64_t from_bucket) {
                     from_bucket);
     frontier_ = collect_unsettled_reached(dist_, settled_);
     for (const vid_t u : frontier_) in_frontier_[u] = 1;
-    model_bkt_ns_ += cost_.scan_cost(sh_.part.block_size());
+    model_bkt_ns_ += cost_.scan_cost(job_.part.block_size());
   }
   ++buckets_;  // the grouped bucket "B"
 
@@ -650,10 +652,10 @@ void DeltaEngine::bellman_ford_tail(std::uint64_t from_bucket) {
     const unsigned lanes = ctx_.pool().lanes();
     begin_relax_emit();
     lane_parallel_arcs(
-        ctx_.pool(), active, view_, sh_.options->heavy_degree_threshold,
+        ctx_.pool(), active, view_, opt_.heavy_degree_threshold,
         [&](vid_t u) { return view_.all_arcs(u); },
         [&](unsigned lane, vid_t u, const Arc& a) {
-          relax_pool_.shard(lane, sh_.part.owner(a.to))
+          relax_pool_.shard(lane, job_.part.owner(a.to))
               .push_back({a.to, dist_[u] + a.w, to_global(u)});
           ++lane_emitted_[lane].value;
         });
@@ -667,7 +669,7 @@ void DeltaEngine::bellman_ford_tail(std::uint64_t from_bucket) {
         apply_incoming(kInfBucket, InsertMode::kAny);
     const StepReduce red = account_step(max_lane + applied / lanes,
                                         posted * sizeof(RelaxMsg), emitted);
-    if (sh_.options->collect_phase_details) {
+    if (opt_.collect_phase_details) {
       phase_details_.push_back(
           {from_bucket, PhaseDetail::Kind::kBellmanFord, red.sum_relax});
     }
@@ -675,9 +677,9 @@ void DeltaEngine::bellman_ford_tail(std::uint64_t from_bucket) {
 }
 
 void DeltaEngine::apply_seeds() {
-  if (sh_.seeds == nullptr) return;
-  for (const RelaxMsg& m : *sh_.seeds) {
-    if (sh_.part.owner(m.v) != ctx_.rank()) continue;
+  if (job_.seeds == nullptr) return;
+  for (const RelaxMsg& m : *job_.seeds) {
+    if (job_.part.owner(m.v) != ctx_.rank()) continue;
     const vid_t local = to_local(m.v);
     if (m.nd >= dist_[local]) continue;
     if (settled_[local]) {
@@ -691,7 +693,7 @@ void DeltaEngine::apply_seeds() {
   }
 }
 
-void DeltaEngine::run() {
+RankCounters DeltaEngine::run() {
   ctx_.set_trace(tlane_);
   double total_wall = 0;
   {
@@ -708,9 +710,9 @@ void DeltaEngine::run() {
         if (!parent_.empty()) {
           std::fill(parent_.begin(), parent_.end(), kInvalidVid);
         }
-        if (sh_.part.owner(sh_.root) == ctx_.rank()) {
-          dist_[to_local(sh_.root)] = 0;
-          if (!parent_.empty()) parent_[to_local(sh_.root)] = sh_.root;
+        if (job_.part.owner(job_.root) == ctx_.rank()) {
+          dist_[to_local(job_.root)] = 0;
+          if (!parent_.empty()) parent_[to_local(job_.root)] = job_.root;
         }
       }
       ctx_.barrier();
@@ -721,7 +723,7 @@ void DeltaEngine::run() {
       process_epoch(k);
       k = next_bucket(static_cast<std::int64_t>(k));
       if (k == kInfBucket) break;
-      if (sh_.options->hybrid_tau >= 0.0) {
+      if (opt_.hybrid_tau >= 0.0) {
         // Only the switch *decision* is bucket bookkeeping. The tail itself
         // must run outside this timer: it used to be called from inside the
         // BktTime stopwatch, so its whole wall time landed in BktTime *and*
@@ -735,7 +737,7 @@ void DeltaEngine::run() {
               ctx_.allreduce(settled_local_cum_, SumOp{});
           model_bkt_ns_ += cost_.scan_cost(0);
           switch_now = should_switch_to_bellman_ford(
-              settled_total, sh_.part.num_vertices(), sh_.options->hybrid_tau);
+              settled_total, job_.part.num_vertices(), opt_.hybrid_tau);
         }
         if (switch_now) {
           bellman_ford_tail(k);
@@ -747,6 +749,7 @@ void DeltaEngine::run() {
   ctx_.set_trace(nullptr);
   counters_.wall_other_time_s = total_wall - counters_.wall_bucket_time_s;
   finalize();
+  return counters_;
 }
 
 void DeltaEngine::finalize() {
@@ -755,7 +758,6 @@ void DeltaEngine::finalize() {
   // the reduction maxes anyway so a straggler shows rather than hides.
   counters_.allreduces = ctx_.traffic().allreduces - sync0_allreduces_ + 1;
   counters_.barriers = ctx_.traffic().barriers - sync0_barriers_;
-  (*sh_.rank_counters)[ctx_.rank()] = counters_;
   // Wall time of the run: bottleneck across ranks.
   const double wall =
       counters_.wall_bucket_time_s + counters_.wall_other_time_s;
@@ -778,7 +780,7 @@ void DeltaEngine::finalize() {
       WallReduceOp{});
 
   if (ctx_.rank() == 0) {
-    SsspStats& s = *sh_.stats;
+    SsspStats& s = *job_.stats;
     s.sync_allreduces = wr.allreduces;
     s.sync_barriers = wr.barriers;
     s.phases = phases_;
@@ -797,9 +799,10 @@ void DeltaEngine::finalize() {
   }
 }
 
-void run_sssp_job(RankCtx& ctx, const EngineShared& shared) {
-  DeltaEngine engine(ctx, shared);
-  engine.run();
+RankCounters run_sssp_job(RankCtx& ctx, const EngineJob& job,
+                          const SsspOptions& options) {
+  DeltaEngine engine(ctx, job, options);
+  return engine.run();
 }
 
 }  // namespace parsssp

@@ -4,11 +4,11 @@
 // same engine realizes Dijkstra (Delta=1), Bellman-Ford (one bucket), Del-D,
 // Prune-D, OPT-D and LB-OPT-D.
 //
-// One DeltaEngine instance runs per rank inside a Machine job. All
-// cross-rank interaction goes through RankCtx: relax/request/response
-// message exchanges plus Allreduce-based termination and bucket-advance
-// checks, exactly the communication structure described in §II
-// ("Distributed Implementation").
+// One DeltaEngine instance runs per rank inside a session job (run_engine,
+// core/engine_job.hpp). All cross-rank interaction goes through RankCtx:
+// relax/request/response message exchanges plus Allreduce-based
+// termination and bucket-advance checks, exactly the communication
+// structure described in §II ("Distributed Implementation").
 #pragma once
 
 #include <cstdint>
@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "core/dist_graph.hpp"
+#include "core/engine_job.hpp"
 #include "core/instrumentation.hpp"
 #include "core/options.hpp"
 #include "core/sync.hpp"
@@ -27,13 +28,6 @@
 
 namespace parsssp {
 
-/// Push-model relaxation / pull-model response payload.
-struct RelaxMsg {
-  vid_t v;     ///< destination vertex (global id, owned by receiver)
-  dist_t nd;   ///< proposed tentative distance d(u) + w(e)
-  vid_t pred;  ///< relaxing vertex u (shortest-path tree parent candidate)
-};
-
 /// Pull-model request payload: "if u is settled in the current bucket, send
 /// me d(u) + w" (paper §III-B, Fig. 5(b)).
 struct PullReqMsg {
@@ -42,46 +36,13 @@ struct PullReqMsg {
   weight_t w;  ///< weight of edge <u, v>
 };
 
-/// Inputs and output slots shared by all ranks of one solve.
-struct EngineShared {
-  const CsrGraph* graph = nullptr;
-  BlockPartition part;
-  const std::vector<LocalEdgeView>* views = nullptr;
-  std::vector<dist_t>* dist = nullptr;  ///< global; rank writes its slice
-  /// Shortest-path-tree parents (optional; null disables tracking).
-  std::vector<vid_t>* parent = nullptr;
-  vid_t root = 0;
-  const SsspOptions* options = nullptr;
-  std::vector<RankCounters>* rank_counters = nullptr;  ///< one slot per rank
-  SsspStats* stats = nullptr;  ///< structure fields written by rank 0
-
-  // --- Seeded mode (the incremental repair path, docs/DYNAMIC.md) -------
-  // Null settled_init selects the standard run: dist/parent are filled
-  // fresh and the root is seeded. Non-null selects the seeded run: the
-  // caller provides complete tentative dist/parent arrays plus a global
-  // preset-settled bitmap, each rank applies the seed messages it owns
-  // (strict-< with unsettle-on-improve), and the bucket schedule starts
-  // from whatever buckets the seeds and unsettled vertices occupy.
-
-  /// Global preset-settled flags (size num_vertices); non-null => seeded.
-  const std::vector<char>* settled_init = nullptr;
-  /// Seed relaxations, applied at init by each target's owner in order.
-  const std::vector<RelaxMsg>* seeds = nullptr;
-  /// Optional global change flags (size num_vertices): set to 1 by a
-  /// vertex's owner on every distance write (seed or sweep). The repair
-  /// planner uses them to bound canonical re-parenting.
-  std::vector<char>* changed = nullptr;
-  /// Overrides the graph's max weight for the pull estimator (any monotone
-  /// upper bound keeps the decision heuristic sound); 0 = use the graph's.
-  weight_t max_weight = 0;
-};
-
 class DeltaEngine {
  public:
-  DeltaEngine(RankCtx& ctx, const EngineShared& shared);
+  DeltaEngine(RankCtx& ctx, const EngineJob& job, const SsspOptions& options);
 
-  /// Executes the full SSSP. Collective: all ranks run this together.
-  void run();
+  /// Executes the full SSSP and returns this rank's counters. Collective:
+  /// all ranks run this together.
+  RankCounters run();
 
  private:
   // -- epoch structure ----------------------------------------------------
@@ -94,7 +55,7 @@ class DeltaEngine {
   void bellman_ford_tail(std::uint64_t from_bucket);
   void finalize();
 
-  /// Seeded-mode init: applies the owned subset of EngineShared::seeds to
+  /// Seeded-mode init: applies the owned subset of EngineJob::seeds to
   /// the caller-provided tentative state (strict-<, unsettle-on-improve).
   void apply_seeds();
 
@@ -151,17 +112,18 @@ class DeltaEngine {
   void apply_parallel(std::uint64_t frontier_k, InsertMode mode);
 
   bool classification_active() const {
-    return sh_.options->edge_classification &&
-           !sh_.options->bellman_ford_regime();
+    return opt_.edge_classification &&
+           !opt_.bellman_ford_regime();
   }
   dist_t bucket_end(std::uint64_t k) const {  // inclusive upper limit of B_k
-    return (k + 1) * static_cast<dist_t>(sh_.options->delta) - 1;
+    return (k + 1) * static_cast<dist_t>(opt_.delta) - 1;
   }
   vid_t to_local(vid_t global) const { return global - begin_; }
   vid_t to_global(vid_t local) const { return begin_ + local; }
 
   RankCtx& ctx_;
-  EngineShared sh_;
+  const EngineJob& job_;
+  const SsspOptions& opt_;
   const LocalEdgeView& view_;
   std::span<dist_t> dist_;  ///< owned slice of the global distance array
   std::span<vid_t> parent_;  ///< owned slice of the parent array (optional)
@@ -183,7 +145,7 @@ class DeltaEngine {
   /// still issue pull requests: their tentative distance is only an upper
   /// bound until the sweep ends.
   std::vector<char> preset_;
-  std::span<char> changed_;  ///< owned slice of EngineShared::changed
+  std::span<char> changed_;  ///< owned slice of EngineJob::changed
   /// Per-lane unsettle counts of one parallel apply (lanes may not touch
   /// settled_local_cum_ directly).
   std::vector<CacheAligned<std::uint64_t>> lane_unsettled_;
@@ -226,7 +188,9 @@ class DeltaEngine {
   std::uint64_t switch_bucket_ = 0;
 };
 
-/// Convenience entry point: the Machine job body for one solve.
-void run_sssp_job(RankCtx& ctx, const EngineShared& shared);
+/// The session job body for one solve (run by run_engine); returns this
+/// rank's counters.
+RankCounters run_sssp_job(RankCtx& ctx, const EngineJob& job,
+                          const SsspOptions& options);
 
 }  // namespace parsssp

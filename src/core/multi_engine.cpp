@@ -354,8 +354,6 @@ class MultiEngine {
   }
 
   void finalize() {
-    (*sh_.rank_counters)[ctx_.rank()] = counters_;
-
     // Exact per-root relaxation totals: chunked sum over the slot counters.
     std::vector<std::uint64_t> per_root(k_, 0);
     for (std::size_t base = 0; base < k_; base += kChunkLen) {

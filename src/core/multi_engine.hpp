@@ -30,16 +30,12 @@
 #include <vector>
 
 #include "core/dist_graph.hpp"
-#include "core/instrumentation.hpp"
+#include "core/engine_job.hpp"
 #include "core/options.hpp"
 #include "core/types.hpp"
 #include "runtime/machine.hpp"
 
 namespace parsssp {
-
-/// Largest batch one sweep supports: slot-activity masks travel in a single
-/// 64-bit Allreduce.
-inline constexpr std::size_t kMaxMultiRoots = 64;
 
 /// Relaxation message of the batched engine: a RelaxMsg plus the batch slot
 /// it belongs to (parents are not tracked on the multi-root path).
@@ -49,46 +45,22 @@ struct MultiRelaxMsg {
   std::uint32_t slot; ///< batch slot (index into MultiEngineShared::roots)
 };
 
-/// Batch-level statistics of one multi-root sweep. Per-root relaxation
-/// counts are exact; the modeled time is for the whole batch (the shared
-/// supersteps cannot be attributed to single roots), so aggregate
-/// throughput is k * m / model_time_s.
-struct MultiStats {
-  std::size_t num_roots = 0;
-  std::uint64_t epochs = 0;        ///< global bucket rounds of the sweep
-  std::uint64_t phases = 0;        ///< short + long phase rounds (shared)
-  std::uint64_t relaxations = 0;   ///< total relax messages, all slots
-  std::vector<std::uint64_t> per_root_relaxations;  ///< size num_roots
-  double model_time_s = 0;         ///< modeled machine time of the batch
-  double wall_time_s = 0;          ///< bottleneck rank wall clock
-
-  /// Aggregate traversed-edges-per-second of the batch, Graph 500 style.
-  double aggregate_gteps(std::uint64_t num_edges, bool modeled = true) const {
-    const double t = modeled ? model_time_s : wall_time_s;
-    return t > 0 ? static_cast<double>(num_edges) *
-                       static_cast<double>(num_roots) / t / 1e9
-                 : 0.0;
-  }
-};
-
 /// Inputs and output slots shared by all ranks of one multi-root sweep.
-/// `roots` must be duplicate-free and at most kMaxMultiRoots long (callers
-/// dedup and chunk; see Solver::solve_multi). `dists` holds one
+/// `roots` must be duplicate-free and at most kMaxMultiRoots long
+/// (run_multi_engine chunks; its callers dedup). `dists` holds one
 /// graph-sized output vector per root; each rank writes its owned slice of
 /// every slab.
 struct MultiEngineShared {
-  const CsrGraph* graph = nullptr;
   BlockPartition part;
   const std::vector<LocalEdgeView>* views = nullptr;
   std::span<const vid_t> roots;
   std::span<std::vector<dist_t>* const> dists;  ///< one per root, size |V|
   const SsspOptions* options = nullptr;
-  std::vector<RankCounters>* rank_counters = nullptr;  ///< one slot per rank
   MultiStats* stats = nullptr;  ///< batch fields written by rank 0
 };
 
-/// The Machine/MachineSession job body for one batched sweep. Collective:
-/// all ranks run this together.
+/// The session job body for one batched sweep (run by run_multi_engine).
+/// Collective: all ranks run this together.
 void run_multi_sssp_job(RankCtx& ctx, const MultiEngineShared& shared);
 
 }  // namespace parsssp

@@ -1,6 +1,22 @@
 #include "core/options.hpp"
 
+#include <stdexcept>
+#include <string>
+
 namespace parsssp {
+
+void check_options(const char* where, const SsspOptions& options) {
+  const auto reject = [where](const char* what) {
+    throw std::invalid_argument(std::string(where) + ": " + what);
+  };
+  if (options.delta == 0) reject("delta must be >= 1");
+  if (options.algo == SsspAlgo::kRho && options.rho == 0) {
+    reject("rho must be >= 1");
+  }
+  if (options.algo == SsspAlgo::kRadius && options.radius_k == 0) {
+    reject("radius_k must be >= 1");
+  }
+}
 
 SsspOptions SsspOptions::dijkstra() {
   SsspOptions o;

@@ -213,4 +213,10 @@ struct SsspOptions {
                                      std::uint32_t delta = 25);
 };
 
+/// Rejects option sets no engine can run: delta == 0 (views built at
+/// Delta = 0 are invalid), and rho == 0 / radius_k == 0 under kRho /
+/// kRadius. Throws std::invalid_argument whose message starts with
+/// `where`. Every public solve entry point calls this first.
+void check_options(const char* where, const SsspOptions& options);
+
 }  // namespace parsssp

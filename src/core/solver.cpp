@@ -7,25 +7,20 @@
 #include <string>
 #include <unordered_map>
 
-#include "core/async_engine.hpp"
-#include "core/delta_engine.hpp"
-#include "core/parent_canon.hpp"
-#include "core/stepping_engine.hpp"
-
 namespace parsssp {
 
 Solver::Solver(const CsrGraph& graph, SolverConfig config)
     : graph_(graph),
       config_(config),
-      machine_(config.machine),
+      session_(config.machine),
       part_(graph.num_vertices(), config.machine.num_ranks) {}
 
 void Solver::ensure_views(std::uint32_t delta) {
   if (views_ready_ && views_delta_ == delta) return;
   const auto t0 = std::chrono::steady_clock::now();
-  views_.assign(machine_.num_ranks(), LocalEdgeView{});
+  views_.assign(session_.num_ranks(), LocalEdgeView{});
   // Each rank builds its own view, in parallel on the simulated machine.
-  machine_.run([&](RankCtx& ctx) {
+  session_.run([&](RankCtx& ctx) {
     views_[ctx.rank()] =
         LocalEdgeView::build(graph_, part_, ctx.rank(), delta);
   });
@@ -43,89 +38,20 @@ SsspResult Solver::solve(vid_t root, const SsspOptions& options) {
         " out of range (graph has " +
         std::to_string(graph_.num_vertices()) + " vertices)");
   }
-  if (options.delta == 0) {
-    throw std::invalid_argument("Solver::solve: delta must be >= 1");
-  }
-  if (options.algo == SsspAlgo::kRho && options.rho == 0) {
-    throw std::invalid_argument("Solver::solve: rho must be >= 1");
-  }
-  if (options.algo == SsspAlgo::kRadius && options.radius_k == 0) {
-    throw std::invalid_argument("Solver::solve: radius_k must be >= 1");
-  }
+  check_options("Solver::solve", options);
+  session_.reset_traffic();
   ensure_views(options.delta);
 
   SsspResult result;
-  result.dist.assign(graph_.num_vertices(), kInfDist);
-  if (options.track_parents) {
-    result.parent.assign(graph_.num_vertices(), kInvalidVid);
-  }
-  std::vector<RankCounters> rank_counters(machine_.num_ranks());
-
-  if (options.algo == SsspAlgo::kAsync) {
-    AsyncChannel<RelaxMsg> channel(machine_.num_ranks());
-    LevelBoard board(machine_.num_ranks());
-    AsyncEngineShared shared;
-    shared.graph = &graph_;
-    shared.part = part_;
-    shared.views = &views_;
-    shared.dist = &result.dist;
-    shared.parent = options.track_parents ? &result.parent : nullptr;
-    shared.root = root;
-    shared.options = &options;
-    shared.rank_counters = &rank_counters;
-    shared.stats = &result.stats;
-    shared.channel = &channel;
-    shared.board = &board;
-
-    machine_.run(
-        [&shared](RankCtx& ctx) { run_async_sssp_job(ctx, shared); });
-  } else if (is_stepping_algo(options.algo)) {
-    SteppingEngineShared shared;
-    shared.graph = &graph_;
-    shared.part = part_;
-    shared.views = &views_;
-    shared.dist = &result.dist;
-    shared.parent = options.track_parents ? &result.parent : nullptr;
-    shared.root = root;
-    shared.options = &options;
-    shared.rank_counters = &rank_counters;
-    shared.stats = &result.stats;
-
-    machine_.run(
-        [&shared](RankCtx& ctx) { run_stepping_sssp_job(ctx, shared); });
-  } else {
-    EngineShared shared;
-    shared.graph = &graph_;
-    shared.part = part_;
-    shared.views = &views_;
-    shared.dist = &result.dist;
-    shared.parent = options.track_parents ? &result.parent : nullptr;
-    shared.root = root;
-    shared.options = &options;
-    shared.rank_counters = &rank_counters;
-    shared.stats = &result.stats;
-
-    machine_.run([&shared](RankCtx& ctx) { run_sssp_job(ctx, shared); });
-  }
-
-  if (options.track_parents &&
-      (options.canonical_parents || options.algo == SsspAlgo::kAsync ||
-       is_stepping_algo(options.algo))) {
-    // Async and stepping parent trees depend on the message schedule;
-    // canonicalizing makes them a pure function of (graph, dist) — see
-    // docs/ASYNC.md and docs/STEPPING.md.
-    canonicalize_parents(graph_, root, result.dist, result.parent);
-  }
-
-  for (const RankCounters& c : rank_counters) {
-    result.stats.short_relaxations += c.short_relaxations;
-    result.stats.long_push_relaxations += c.long_push_relaxations;
-    result.stats.pull_requests += c.pull_requests;
-    result.stats.pull_responses += c.pull_responses;
-    result.stats.bf_relaxations += c.bf_relaxations;
-    result.stats.async_relaxations += c.async_relaxations;
-    result.stats.stepping_relaxations += c.stepping_relaxations;
-  }
+  run_engine(session_,
+             {.graph = &graph_,
+              .part = part_,
+              .views = &views_,
+              .dist = &result.dist,
+              .parent = options.track_parents ? &result.parent : nullptr,
+              .root = root,
+              .stats = &result.stats},
+             options);
   return result;
 }
 
@@ -192,9 +118,7 @@ MultiRootResult Solver::solve_multi(std::span<const vid_t> roots,
           std::to_string(graph_.num_vertices()) + " vertices)");
     }
   }
-  if (options.delta == 0) {
-    throw std::invalid_argument("Solver::solve_multi: delta must be >= 1");
-  }
+  check_options("Solver::solve_multi", options);
   if (options.algo == SsspAlgo::kAsync || is_stepping_algo(options.algo)) {
     throw std::invalid_argument(
         "Solver::solve_multi: the asynchronous and stepping engines are "
@@ -205,6 +129,7 @@ MultiRootResult Solver::solve_multi(std::span<const vid_t> roots,
   result.roots.assign(roots.begin(), roots.end());
   result.dist.resize(roots.size());
   if (roots.empty()) return result;
+  session_.reset_traffic();
   ensure_views(options.delta);
 
   // Deduplicate in first-occurrence order; duplicates share the slab.
@@ -219,44 +144,9 @@ MultiRootResult Solver::solve_multi(std::span<const vid_t> roots,
     }
   }
 
-  // Each sweep batches up to kMaxMultiRoots unique roots; chunk statistics
-  // accumulate (a chunked batch is sequential across chunks, so times add).
   std::vector<std::vector<dist_t>> unique_dist(unique.size());
-  for (std::size_t base = 0; base < unique.size(); base += kMaxMultiRoots) {
-    const std::size_t count = std::min(kMaxMultiRoots, unique.size() - base);
-    std::vector<std::vector<dist_t>*> slabs(count);
-    for (std::size_t j = 0; j < count; ++j) {
-      slabs[j] = &unique_dist[base + j];
-    }
-    MultiStats chunk_stats;
-    std::vector<RankCounters> rank_counters(machine_.num_ranks());
-
-    MultiEngineShared shared;
-    shared.graph = &graph_;
-    shared.part = part_;
-    shared.views = &views_;
-    shared.roots = std::span<const vid_t>(unique).subspan(base, count);
-    shared.dists = std::span<std::vector<dist_t>* const>(slabs);
-    shared.options = &options;
-    shared.rank_counters = &rank_counters;
-    shared.stats = &chunk_stats;
-    for (std::size_t j = 0; j < count; ++j) {
-      slabs[j]->assign(graph_.num_vertices(), kInfDist);
-    }
-
-    machine_.run([&shared](RankCtx& ctx) { run_multi_sssp_job(ctx, shared); });
-
-    result.stats.num_roots += chunk_stats.num_roots;
-    result.stats.epochs += chunk_stats.epochs;
-    result.stats.phases += chunk_stats.phases;
-    result.stats.relaxations += chunk_stats.relaxations;
-    result.stats.per_root_relaxations.insert(
-        result.stats.per_root_relaxations.end(),
-        chunk_stats.per_root_relaxations.begin(),
-        chunk_stats.per_root_relaxations.end());
-    result.stats.model_time_s += chunk_stats.model_time_s;
-    result.stats.wall_time_s += chunk_stats.wall_time_s;
-  }
+  result.stats = run_multi_engine(session_, part_, views_, unique,
+                                  unique_dist, options);
 
   // Fan the slabs back out to input positions: each slab moves into its
   // last user and copies into earlier duplicates.

@@ -5,10 +5,11 @@
 //   SsspResult r = solver.solve(root, SsspOptions::opt(25));
 //   // r.dist[v], r.stats.gteps(g.num_undirected_edges()), ...
 //
-// A Solver owns the simulated machine and the Delta-dependent edge views;
-// views are cached so that solving many roots at the same Delta (the
-// Graph 500 methodology: 16-64 random roots per configuration) pays the
-// preprocessing once.
+// A Solver owns the simulated machine — a MachineSession whose rank threads
+// are spawned once and parked between solves — and the Delta-dependent
+// edge views; views are cached so that solving many roots at the same
+// Delta (the Graph 500 methodology: 16-64 random roots per configuration)
+// pays the preprocessing once.
 #pragma once
 
 #include <cstdint>
@@ -16,11 +17,11 @@
 #include <vector>
 
 #include "core/dist_graph.hpp"
+#include "core/engine_job.hpp"
 #include "core/instrumentation.hpp"
-#include "core/multi_engine.hpp"
 #include "core/options.hpp"
 #include "graph/csr.hpp"
-#include "runtime/machine.hpp"
+#include "runtime/machine_session.hpp"
 #include "runtime/partition.hpp"
 
 namespace parsssp {
@@ -106,7 +107,10 @@ class Solver {
 
   const CsrGraph& graph() const { return graph_; }
   const BlockPartition& partition() const { return part_; }
-  Machine& machine() { return machine_; }
+  /// The machine the solves run on. solve() and solve_multi() reset its
+  /// traffic counters first, so traffic() and pair_messages() report the
+  /// most recent call alone.
+  MachineSession& machine() { return session_; }
 
   /// Seconds spent building the current edge views (the paper's
   /// preprocessing stage; excluded from the TEPS timing, as in Graph 500).
@@ -117,7 +121,7 @@ class Solver {
 
   const CsrGraph& graph_;
   SolverConfig config_;
-  Machine machine_;
+  MachineSession session_;
   BlockPartition part_;
   std::vector<LocalEdgeView> views_;
   std::uint32_t views_delta_ = 0;

@@ -71,26 +71,27 @@ dist_t saturating_add(dist_t a, dist_t b) {
 
 }  // namespace
 
-SteppingEngine::SteppingEngine(RankCtx& ctx,
-                               const SteppingEngineShared& shared)
+SteppingEngine::SteppingEngine(RankCtx& ctx, const EngineJob& job,
+                               const SsspOptions& options)
     : ctx_(ctx),
-      sh_(shared),
-      view_((*shared.views)[ctx.rank()]),
-      begin_(shared.part.begin(ctx.rank())),
-      nloc_(shared.part.count(ctx.rank())),
-      pq_(shared.options->delta),
-      cost_(shared.options->cost_model) {
-  dist_ = std::span<dist_t>(sh_.dist->data() + begin_, nloc_);
-  if (sh_.parent != nullptr) {
-    parent_ = std::span<vid_t>(sh_.parent->data() + begin_, nloc_);
+      job_(job),
+      opt_(options),
+      view_((*job.views)[ctx.rank()]),
+      begin_(job.part.begin(ctx.rank())),
+      nloc_(job.part.count(ctx.rank())),
+      pq_(options.delta),
+      cost_(options.cost_model) {
+  dist_ = std::span<dist_t>(job_.dist->data() + begin_, nloc_);
+  if (job_.parent != nullptr) {
+    parent_ = std::span<vid_t>(job_.parent->data() + begin_, nloc_);
   }
   relax_pool_.configure(/*lanes=*/1, ctx_.num_ranks());
 
   sync0_allreduces_ = ctx_.traffic().allreduces;
   sync0_barriers_ = ctx_.traffic().barriers;
 
-  if (sh_.options->trace != nullptr) {
-    tlane_ = &sh_.options->trace->thread_lane(
+  if (opt_.trace != nullptr) {
+    tlane_ = &opt_.trace->thread_lane(
         "rank" + std::to_string(ctx_.rank()));
   }
 }
@@ -100,17 +101,17 @@ void SteppingEngine::init() {
   if (!parent_.empty()) {
     std::fill(parent_.begin(), parent_.end(), kInvalidVid);
   }
-  if (sh_.part.owner(sh_.root) == ctx_.rank()) {
-    dist_[to_local(sh_.root)] = 0;
-    if (!parent_.empty()) parent_[to_local(sh_.root)] = sh_.root;
-    pq_.push(sh_.root, 0);
+  if (job_.part.owner(job_.root) == ctx_.rank()) {
+    dist_[to_local(job_.root)] = 0;
+    if (!parent_.empty()) parent_[to_local(job_.root)] = job_.root;
+    pq_.push(job_.root, 0);
   }
-  if (sh_.options->algo == SsspAlgo::kRadius) compute_radii();
+  if (opt_.algo == SsspAlgo::kRadius) compute_radii();
 }
 
 void SteppingEngine::compute_radii() {
   r_.assign(nloc_, 1);
-  const std::uint32_t k = std::max<std::uint32_t>(1, sh_.options->radius_k);
+  const std::uint32_t k = std::max<std::uint32_t>(1, opt_.radius_k);
   std::vector<weight_t> weights;
   for (vid_t lv = 0; lv < nloc_; ++lv) {
     const std::span<const Arc> arcs = view_.all_arcs(lv);
@@ -134,12 +135,12 @@ bool SteppingEngine::any_active_globally(bool local_active) {
 
 dist_t SteppingEngine::step_threshold() {
   TimedSection sw(counters_.wall_bucket_time_s, tlane_, SpanCat::kBucketScan);
-  const std::uint32_t delta = sh_.options->delta;
+  const std::uint32_t delta = opt_.delta;
   const std::uint64_t gmin = ctx_.allreduce(pq_.min_bucket(), MinOp{});
   model_bkt_ns_ += cost_.scan_cost(0);
   if (gmin == kInfBucket) return kInfDist;
 
-  switch (sh_.options->algo) {
+  switch (opt_.algo) {
     case SsspAlgo::kDeltaStar:
       return bucket_limit(gmin, delta);
     case SsspAlgo::kRho: {
@@ -154,7 +155,7 @@ dist_t SteppingEngine::step_threshold() {
       }
       const RhoScan global = ctx_.allreduce(local, RhoScanOp{});
       model_bkt_ns_ += cost_.scan_cost(kRhoWindow);
-      const std::uint64_t rho = std::max<std::uint32_t>(1, sh_.options->rho);
+      const std::uint64_t rho = std::max<std::uint32_t>(1, opt_.rho);
       std::uint64_t covered = 0;
       std::uint64_t last = gmin;
       for (std::size_t j = 0; j < kRhoWindow; ++j) {
@@ -195,7 +196,7 @@ std::uint64_t SteppingEngine::drain_and_relax(dist_t t) {
   std::uint64_t emitted = 0;
   while (!pq_.empty()) {
     const std::uint64_t b = pq_.min_bucket();
-    if (static_cast<dist_t>(b) * sh_.options->delta >= t) break;
+    if (static_cast<dist_t>(b) * opt_.delta >= t) break;
     pq_.pop_batch(batch_);
     for (const auto& [v, d] : batch_) {
       const vid_t lv = to_local(v);
@@ -208,7 +209,7 @@ std::uint64_t SteppingEngine::drain_and_relax(dist_t t) {
         continue;
       }
       for (const Arc& a : view_.all_arcs(lv)) {
-        relax_pool_.shard(0, sh_.part.owner(a.to))
+        relax_pool_.shard(0, job_.part.owner(a.to))
             .push_back({a.to, d + a.w, v});
         ++emitted;
       }
@@ -219,7 +220,7 @@ std::uint64_t SteppingEngine::drain_and_relax(dist_t t) {
 }
 
 std::uint64_t SteppingEngine::relax_exchange() {
-  const SsspOptions& o = *sh_.options;
+  const SsspOptions& o = opt_;
   if (o.data_path == DataPath::kReference) {
     const std::uint64_t posted = relax_pool_.pending_messages();
     ctx_.exchange_merged(relax_pool_, PhaseKind::kShortPhase);
@@ -227,9 +228,9 @@ std::uint64_t SteppingEngine::relax_exchange() {
   }
   if (o.sender_reduction) {
     const rank_t ranks = ctx_.num_ranks();
-    reducer_.ensure(sh_.part.block_size());
+    reducer_.ensure(job_.part.block_size());
     for (rank_t d = 0; d < ranks; ++d) {
-      const vid_t dest_begin = sh_.part.begin(d);
+      const vid_t dest_begin = job_.part.begin(d);
       reducer_.begin_dest();
       reducer_.reduce(
           relax_pool_.shard(0, d),
@@ -271,7 +272,7 @@ void SteppingEngine::account_round(std::uint64_t work, std::uint64_t bytes,
 }
 
 void SteppingEngine::settle_below(dist_t t) {
-  const std::uint32_t delta = sh_.options->delta;
+  const std::uint32_t delta = opt_.delta;
   auto has_work_below = [&] {
     if (pq_.empty()) return false;
     return static_cast<dist_t>(pq_.min_bucket()) * delta < t;
@@ -279,7 +280,7 @@ void SteppingEngine::settle_below(dist_t t) {
   while (any_active_globally(has_work_below())) {
     ++phases_;
     ScopedSpan span(tlane_, SpanCat::kShortPhase, steps_);
-    if (sh_.options->data_path == DataPath::kReference) {
+    if (opt_.data_path == DataPath::kReference) {
       // The baseline pays the seed's churn: fresh allocations per round.
       relax_pool_.release();
     }
@@ -291,7 +292,7 @@ void SteppingEngine::settle_below(dist_t t) {
   }
 }
 
-void SteppingEngine::run() {
+RankCounters SteppingEngine::run() {
   ctx_.set_trace(tlane_);
   double total_wall = 0;
   {
@@ -313,6 +314,7 @@ void SteppingEngine::run() {
   ctx_.set_trace(nullptr);
   counters_.wall_other_time_s = total_wall - counters_.wall_bucket_time_s;
   finalize();
+  return counters_;
 }
 
 void SteppingEngine::finalize() {
@@ -320,7 +322,6 @@ void SteppingEngine::finalize() {
   // +1 below); same discipline as the bucket-synchronous engine.
   counters_.allreduces = ctx_.traffic().allreduces - sync0_allreduces_ + 1;
   counters_.barriers = ctx_.traffic().barriers - sync0_barriers_;
-  (*sh_.rank_counters)[ctx_.rank()] = counters_;
   const double wall =
       counters_.wall_bucket_time_s + counters_.wall_other_time_s;
   struct WallReduce {
@@ -342,7 +343,7 @@ void SteppingEngine::finalize() {
       WallReduceOp{});
 
   if (ctx_.rank() == 0) {
-    SsspStats& s = *sh_.stats;
+    SsspStats& s = *job_.stats;
     s.sync_allreduces = wr.allreduces;
     s.sync_barriers = wr.barriers;
     s.phases = phases_;
@@ -356,9 +357,10 @@ void SteppingEngine::finalize() {
   }
 }
 
-void run_stepping_sssp_job(RankCtx& ctx, const SteppingEngineShared& shared) {
-  SteppingEngine engine(ctx, shared);
-  engine.run();
+RankCounters run_stepping_sssp_job(RankCtx& ctx, const EngineJob& job,
+                                   const SsspOptions& options) {
+  SteppingEngine engine(ctx, job, options);
+  return engine.run();
 }
 
 }  // namespace parsssp

@@ -24,7 +24,7 @@
 //
 // Contract: distances are bit-identical to the bucket-synchronous OPT
 // engine's (both compute the exact SSSP); parents are canonicalized by
-// the caller (core/parent_canon.hpp) so they match too. The engine
+// run_engine (core/engine_job.hpp) so they match too. The engine
 // honors delta (queue granularity / Delta* width), rho, radius_k,
 // data_path (pooled send buffers + optional sender-side reduction vs the
 // reference merged exchange) and track_parents; the bucket-synchronous
@@ -36,8 +36,8 @@
 #include <span>
 #include <vector>
 
-#include "core/delta_engine.hpp"  // IWYU pragma: export (RelaxMsg is the wire format)
 #include "core/dist_graph.hpp"
+#include "core/engine_job.hpp"
 #include "core/instrumentation.hpp"
 #include "core/lazy_pq.hpp"
 #include "core/options.hpp"
@@ -48,25 +48,14 @@
 
 namespace parsssp {
 
-/// Inputs and output slots shared by all ranks of one stepping solve.
-struct SteppingEngineShared {
-  const CsrGraph* graph = nullptr;
-  BlockPartition part;
-  const std::vector<LocalEdgeView>* views = nullptr;
-  std::vector<dist_t>* dist = nullptr;   ///< global; rank writes its slice
-  std::vector<vid_t>* parent = nullptr;  ///< optional; null disables
-  vid_t root = 0;
-  const SsspOptions* options = nullptr;
-  std::vector<RankCounters>* rank_counters = nullptr;  ///< one slot per rank
-  SsspStats* stats = nullptr;  ///< structure fields written by rank 0
-};
-
 class SteppingEngine {
  public:
-  SteppingEngine(RankCtx& ctx, const SteppingEngineShared& shared);
+  SteppingEngine(RankCtx& ctx, const EngineJob& job,
+                 const SsspOptions& options);
 
-  /// Executes the full SSSP. Collective: all ranks run this together.
-  void run();
+  /// Executes the full SSSP and returns this rank's counters. Collective:
+  /// all ranks run this together.
+  RankCounters run();
 
  private:
   void init();
@@ -108,7 +97,8 @@ class SteppingEngine {
   vid_t to_global(vid_t local) const { return begin_ + local; }
 
   RankCtx& ctx_;
-  SteppingEngineShared sh_;
+  const EngineJob& job_;
+  const SsspOptions& opt_;
   const LocalEdgeView& view_;
   std::span<dist_t> dist_;   ///< owned slice of the global distance array
   std::span<vid_t> parent_;  ///< owned slice of the parent array (optional)
@@ -145,7 +135,9 @@ class SteppingEngine {
   std::uint64_t steps_ = 0;   ///< outer steps (reported as stats.buckets)
 };
 
-/// Convenience entry point: the Machine job body for one stepping solve.
-void run_stepping_sssp_job(RankCtx& ctx, const SteppingEngineShared& shared);
+/// The session job body for one stepping solve (run by run_engine);
+/// returns this rank's counters.
+RankCounters run_stepping_sssp_job(RankCtx& ctx, const EngineJob& job,
+                                   const SsspOptions& options);
 
 }  // namespace parsssp

@@ -53,10 +53,12 @@ double Histogram::Snapshot::percentile(double p) const {
     if (cum >= rank) {
       const double lo = config.base * std::pow(config.growth,
                                                static_cast<double>(i));
-      return lo * std::sqrt(config.growth);  // geometric bucket midpoint
+      // Geometric bucket midpoint, clamped: no percentile may exceed the
+      // largest value actually recorded.
+      return std::min(lo * std::sqrt(config.growth), max);
     }
   }
-  return config.base;  // unreachable when counts are consistent
+  return std::min(config.base, max);  // unreachable when counts agree
 }
 
 Counter& MetricsRegistry::counter(std::string_view name) {

@@ -80,7 +80,7 @@ class Histogram {
     }
     /// Nearest-rank percentile over the bucket counts; returns the
     /// geometric midpoint of the selected bucket (exact to within one
-    /// `growth` factor). p in (0, 1]; 0 count yields 0.
+    /// `growth` factor), clamped to `max`. p in (0, 1]; 0 count yields 0.
     double percentile(double p) const;
   };
   Snapshot snapshot() const;

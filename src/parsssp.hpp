@@ -32,14 +32,13 @@
 #include "seq/dijkstra.hpp"        // IWYU pragma: export
 
 // The distributed SSSP core.
-#include "core/async_solve.hpp"    // IWYU pragma: export
 #include "core/bfs_engine.hpp"     // IWYU pragma: export
 #include "core/delta_choice.hpp"   // IWYU pragma: export
 #include "core/dist_builder.hpp"   // IWYU pragma: export
+#include "core/engine_job.hpp"     // IWYU pragma: export
 #include "core/lb_thresholds.hpp"  // IWYU pragma: export
 #include "core/options.hpp"        // IWYU pragma: export
 #include "core/parent_canon.hpp"   // IWYU pragma: export
-#include "core/seeded_solve.hpp"   // IWYU pragma: export
 #include "core/solver.hpp"         // IWYU pragma: export
 #include "core/split_solver.hpp"   // IWYU pragma: export
 #include "core/dist_validate.hpp"  // IWYU pragma: export

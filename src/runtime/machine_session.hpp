@@ -1,12 +1,13 @@
-// A persistent variant of Machine for query serving.
+// A persistent variant of Machine: the execution host of Solver,
+// QueryEngine and DynamicSolver.
 //
-// Machine::run spawns and joins R std::threads per job, which is fine for
-// batch benchmarking but dominates the latency of small back-to-back
-// queries. A MachineSession spawns the R rank threads once; they park on a
-// job queue and execute submitted jobs in FIFO order, each job running
-// collectively on every rank exactly as under Machine::run. The per-rank
-// RankCtx (and with it the intra-rank ThreadPool and the checked-exchange
-// round counter) lives for the whole session, so
+// Machine::run spawns and joins R std::threads per job, which dominates
+// the latency of small back-to-back solves. A MachineSession spawns the R
+// rank threads once; they park on a job queue and execute submitted jobs
+// in FIFO order, each job running collectively on every rank exactly as
+// under Machine::run. The per-rank RankCtx (and with it the intra-rank
+// ThreadPool and the checked-exchange round counter) lives for the whole
+// session, so
 //
 //   * back-to-back jobs pay no thread create/join,
 //   * Delta-dependent state built by one job (e.g. LocalEdgeViews) is
@@ -31,6 +32,7 @@
 // every rank.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <deque>
 #include <functional>
@@ -95,10 +97,16 @@ class MachineSession {
   /// Cumulative traffic of all completed jobs since construction or the
   /// last reset_traffic(). Only meaningful while no job is in flight.
   const TrafficStats& traffic() const { return traffic_; }
-  void reset_traffic() { traffic_.reset(); }
+  /// Zeroes traffic() and pair_messages(). Call only while no job is in
+  /// flight.
+  void reset_traffic() {
+    traffic_.reset();
+    std::fill(pair_messages_.begin(), pair_messages_.end(), 0);
+  }
 
-  /// Per-(source, destination) cumulative message counts, row-major
-  /// num_ranks x num_ranks; empty unless MachineConfig::record_pair_traffic.
+  /// Per-(source, destination) message counts since construction or the
+  /// last reset_traffic(), row-major num_ranks x num_ranks; empty unless
+  /// MachineConfig::record_pair_traffic.
   const std::vector<std::uint64_t>& pair_messages() const {
     return pair_messages_;
   }

@@ -1,9 +1,6 @@
 #include "serve/query_engine.hpp"
 
-#include "core/async_solve.hpp"
-#include "core/delta_engine.hpp"
-#include "core/multi_engine.hpp"
-#include "core/stepping_solve.hpp"
+#include "core/engine_job.hpp"
 
 #include <algorithm>
 #include <stdexcept>
@@ -120,16 +117,7 @@ std::future<QueryResult> QueryEngine::submit(vid_t root,
                             std::to_string(num_vertices_) +
                             " vertices)");
   }
-  if (options.delta == 0) {
-    throw std::invalid_argument("QueryEngine::submit: delta must be >= 1");
-  }
-  if (options.algo == SsspAlgo::kRho && options.rho == 0) {
-    throw std::invalid_argument("QueryEngine::submit: rho must be >= 1");
-  }
-  if (options.algo == SsspAlgo::kRadius && options.radius_k == 0) {
-    throw std::invalid_argument(
-        "QueryEngine::submit: radius_k must be >= 1");
-  }
+  check_options("QueryEngine::submit", options);
   Pending p;
   p.root = root;
   p.options = options;
@@ -454,50 +442,26 @@ void QueryEngine::refresh_snapshot_metrics() {
   g_retire_latency_->set(s.retire_latency_last_s);
 }
 
-SsspStats QueryEngine::probe_solve(vid_t root, const SsspOptions& options,
+QueryAnswer QueryEngine::solve_one(vid_t root, const SsspOptions& options,
                                    const CsrGraph* graph,
                                    const SnapshotRef& snap,
                                    const std::shared_ptr<void>& keepalive) {
   ensure_views(options.delta, snap);
-  SsspStats stats;
-  std::vector<dist_t> dist(num_vertices_, kInfDist);
-  std::vector<RankCounters> rank_counters(session_.num_ranks());
-  if (is_stepping_algo(options.algo)) {
-    SteppingSolveJob job;
-    job.graph = graph;
-    job.part = part_;
-    job.views = &views_;
-    job.dist = &dist;
-    job.root = root;
-    job.rank_counters = &rank_counters;
-    job.stats = &stats;
-    run_stepping_solve(session_, job, options, keepalive);
-  } else {
-    EngineShared shared;
-    shared.graph = graph;
-    shared.part = part_;
-    shared.views = &views_;
-    shared.dist = &dist;
-    shared.root = root;
-    shared.options = &options;
-    shared.rank_counters = &rank_counters;
-    shared.stats = &stats;
-    if (snap) shared.max_weight = snap->max_weight();
-    session_
-        .submit([&shared](RankCtx& ctx) { run_sssp_job(ctx, shared); },
-                keepalive)
-        .get();
-  }
-  for (const RankCounters& c : rank_counters) {
-    stats.short_relaxations += c.short_relaxations;
-    stats.long_push_relaxations += c.long_push_relaxations;
-    stats.pull_requests += c.pull_requests;
-    stats.pull_responses += c.pull_responses;
-    stats.bf_relaxations += c.bf_relaxations;
-    stats.async_relaxations += c.async_relaxations;
-    stats.stepping_relaxations += c.stepping_relaxations;
-  }
-  return stats;
+  QueryAnswer answer;
+  answer.root = root;
+  // The base CSR may lag the logical graph; give the push/pull estimator
+  // the snapshot's weight bound instead.
+  run_engine(session_,
+             {.graph = graph,
+              .part = part_,
+              .views = &views_,
+              .dist = &answer.dist,
+              .parent = options.track_parents ? &answer.parent : nullptr,
+              .root = root,
+              .stats = &answer.stats,
+              .max_weight = snap ? snap->max_weight() : 0},
+             options, keepalive);
+  return answer;
 }
 
 std::vector<std::shared_ptr<const QueryAnswer>> QueryEngine::compute(
@@ -528,8 +492,10 @@ std::vector<std::shared_ptr<const QueryAnswer>> QueryEngine::compute(
     const std::uint64_t version = snap ? snap->version() : 0;
     const vid_t probe_root = roots[0];
     const TunedConfig tuned = tuner_.tune(
-        version, *graph, options, [&](const SsspOptions& candidate) {
-          return probe_solve(probe_root, candidate, graph, snap, keepalive);
+        version, *graph, options, [&](SsspOptions candidate) {
+          candidate.track_parents = false;  // probes keep only the stats
+          return solve_one(probe_root, candidate, graph, snap, keepalive)
+              .stats;
         });
     options = tuned.apply(options);
   }
@@ -539,87 +505,22 @@ std::vector<std::shared_ptr<const QueryAnswer>> QueryEngine::compute(
 
   // Parent tracking (and the degenerate one-root batch) runs the full
   // per-root engine: parents come out exactly as from Solver::solve, and
-  // single queries skip the batched engine's slot overhead. The async
-  // engine is single-root by construction, so it rides this path too.
+  // single queries skip the batched engine's slot overhead. The async and
+  // stepping engines (explicit client choice, or the auto-tune rewrite
+  // above) are single-root by construction, so they ride this path too.
   if (options.track_parents || roots.size() == 1 ||
       options.algo == SsspAlgo::kAsync || is_stepping_algo(options.algo)) {
-    // The stepping engines (explicit client choice, or the auto-tune
-    // rewrite above) are single-root by construction, like async.
-    const bool serve_stepping = is_stepping_algo(options.algo);
     // Cold single-root queries run barrier-free when the engine is
     // configured for it (compute() only sees cache misses); parents must
-    // be canonical for the answers to stay interchangeable. Explicit
-    // SsspAlgo::kAsync requests are honored unconditionally.
-    const bool serve_async =
-        !serve_stepping &&
-        (options.algo == SsspAlgo::kAsync ||
-         (config_.async_cold_queries && roots.size() == 1 &&
-          (!options.track_parents || options.canonical_parents)));
-    SsspOptions async_options = options;
-    async_options.algo = SsspAlgo::kAsync;
+    // be canonical for the answers to stay interchangeable.
+    if (options.algo == SsspAlgo::kBucketSync && config_.async_cold_queries &&
+        roots.size() == 1 &&
+        (!options.track_parents || options.canonical_parents)) {
+      options.algo = SsspAlgo::kAsync;
+    }
     for (const vid_t root : roots) {
-      auto answer = std::make_shared<QueryAnswer>();
-      answer->root = root;
-      answer->dist.assign(num_vertices_, kInfDist);
-      if (options.track_parents) {
-        answer->parent.assign(num_vertices_, kInvalidVid);
-      }
-      std::vector<RankCounters> rank_counters(session_.num_ranks());
-
-      if (serve_stepping) {
-        SteppingSolveJob job;
-        job.graph = graph;
-        job.part = part_;
-        job.views = &views_;
-        job.dist = &answer->dist;
-        job.parent = options.track_parents ? &answer->parent : nullptr;
-        job.root = root;
-        job.rank_counters = &rank_counters;
-        job.stats = &answer->stats;
-        run_stepping_solve(session_, job, options, keepalive);
-      } else if (serve_async) {
-        AsyncSolveJob job;
-        job.graph = graph;
-        job.part = part_;
-        job.views = &views_;
-        job.dist = &answer->dist;
-        job.parent = options.track_parents ? &answer->parent : nullptr;
-        job.root = root;
-        job.rank_counters = &rank_counters;
-        job.stats = &answer->stats;
-        run_async_solve(session_, job, async_options, keepalive);
-      } else {
-        EngineShared shared;
-        shared.graph = graph;
-        shared.part = part_;
-        shared.views = &views_;
-        shared.dist = &answer->dist;
-        shared.parent = options.track_parents ? &answer->parent : nullptr;
-        shared.root = root;
-        shared.options = &options;
-        shared.rank_counters = &rank_counters;
-        shared.stats = &answer->stats;
-        if (snap) {
-          // The base CSR may lag the logical graph; give the push/pull
-          // estimator the snapshot's weight bound instead.
-          shared.max_weight = snap->max_weight();
-        }
-
-        session_
-            .submit([&shared](RankCtx& ctx) { run_sssp_job(ctx, shared); },
-                    keepalive)
-            .get();
-      }
-
-      for (const RankCounters& c : rank_counters) {
-        answer->stats.short_relaxations += c.short_relaxations;
-        answer->stats.long_push_relaxations += c.long_push_relaxations;
-        answer->stats.pull_requests += c.pull_requests;
-        answer->stats.pull_responses += c.pull_responses;
-        answer->stats.bf_relaxations += c.bf_relaxations;
-        answer->stats.async_relaxations += c.async_relaxations;
-        answer->stats.stepping_relaxations += c.stepping_relaxations;
-      }
+      auto answer = std::make_shared<QueryAnswer>(
+          solve_one(root, options, graph, snap, keepalive));
       if (m_barriers_ != nullptr) {
         m_barriers_->inc(answer->stats.global_syncs());
       }
@@ -632,43 +533,23 @@ std::vector<std::shared_ptr<const QueryAnswer>> QueryEngine::compute(
 
   // Batched path: one shared sweep for the whole batch (roots.size() <=
   // max_batch <= kMaxMultiRoots by construction).
-  std::vector<std::shared_ptr<QueryAnswer>> building(roots.size());
-  std::vector<std::vector<dist_t>*> slabs(roots.size());
-  for (std::size_t s = 0; s < roots.size(); ++s) {
-    building[s] = std::make_shared<QueryAnswer>();
-    building[s]->root = roots[s];
-    building[s]->dist.assign(num_vertices_, kInfDist);
-    slabs[s] = &building[s]->dist;
-  }
-  MultiStats multi_stats;
-  std::vector<RankCounters> rank_counters(session_.num_ranks());
-
-  MultiEngineShared shared;
-  shared.graph = graph;
-  shared.part = part_;
-  shared.views = &views_;
-  shared.roots = std::span<const vid_t>(roots);
-  shared.dists = std::span<std::vector<dist_t>* const>(slabs);
-  shared.options = &options;
-  shared.rank_counters = &rank_counters;
-  shared.stats = &multi_stats;
-
-  session_
-      .submit([&shared](RankCtx& ctx) { run_multi_sssp_job(ctx, shared); },
-              keepalive)
-      .get();
-
+  std::vector<std::vector<dist_t>> dists(roots.size());
+  const MultiStats multi_stats = run_multi_engine(
+      session_, part_, views_, roots, dists, options, keepalive);
   for (std::size_t s = 0; s < roots.size(); ++s) {
     // Batched-path statistics: relaxations are per root (exact), structure
     // and times are batch-level — the sweep is shared, so per-root time
     // attribution would be fiction. See docs/SERVING.md.
-    SsspStats& st = building[s]->stats;
+    auto answer = std::make_shared<QueryAnswer>();
+    answer->root = roots[s];
+    answer->dist = std::move(dists[s]);
+    SsspStats& st = answer->stats;
     st.short_relaxations = multi_stats.per_root_relaxations[s];
     st.phases = multi_stats.phases;
     st.buckets = multi_stats.epochs;
     st.model_time_s = multi_stats.model_time_s;
     st.wall_time_s = multi_stats.wall_time_s;
-    answers.push_back(std::move(building[s]));
+    answers.push_back(std::move(answer));
   }
   {
     MutexLock lock(mutex_);

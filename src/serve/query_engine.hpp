@@ -17,8 +17,8 @@
 //     machine and marked from_cache.
 //   * Execution: duplicate roots in a batch are computed once. A batch
 //     with one unique (uncached) root — or any batch tracking parents —
-//     runs the full single-root engine (run_sssp_job) per root; larger
-//     batches run the batched multi-root engine (run_multi_sssp_job), one
+//     runs the full single-root engine (run_engine) per root; larger
+//     batches run the batched multi-root engine (run_multi_engine), one
 //     shared bucket-synchronous sweep for the whole batch. Distances are
 //     bit-identical between both paths and Solver::solve; batched-path
 //     statistics are batch-level (see docs/SERVING.md).
@@ -267,9 +267,10 @@ class QueryEngine {
   std::vector<std::shared_ptr<const QueryAnswer>> compute(
       const std::vector<vid_t>& roots, const SsspOptions& options,
       const SnapshotRef& snap);
-  /// Dispatcher-thread-only: one throwaway solve for the auto-tuner's
-  /// probe pass — answers are discarded, only the statistics come back.
-  SsspStats probe_solve(vid_t root, const SsspOptions& options,
+  /// Dispatcher-thread-only: one single-root solve on the session with
+  /// the engine options.algo names (the auto-tuner's probe passes keep
+  /// only its statistics); syncs the views to (options.delta, snap) first.
+  QueryAnswer solve_one(vid_t root, const SsspOptions& options,
                         const CsrGraph* graph, const SnapshotRef& snap,
                         const std::shared_ptr<void>& keepalive);
   /// Dispatcher-thread-only: sync the per-rank edge views to (`delta`,

@@ -4,6 +4,7 @@
 #include <string>
 #include <utility>
 
+#include "core/engine_job.hpp"
 #include "core/parent_canon.hpp"
 #include "obs/trace.hpp"
 
@@ -16,17 +17,6 @@ void check_root(const char* where, vid_t root, vid_t n) {
     throw std::out_of_range(std::string(where) + ": root " +
                             std::to_string(root) + " out of range (graph has " +
                             std::to_string(n) + " vertices)");
-  }
-}
-
-void accumulate_counters(const std::vector<RankCounters>& rank_counters,
-                         SsspStats& stats) {
-  for (const RankCounters& c : rank_counters) {
-    stats.short_relaxations += c.short_relaxations;
-    stats.long_push_relaxations += c.long_push_relaxations;
-    stats.pull_requests += c.pull_requests;
-    stats.pull_responses += c.pull_responses;
-    stats.bf_relaxations += c.bf_relaxations;
   }
 }
 
@@ -50,36 +40,31 @@ void DynamicSolver::ensure_views(std::uint32_t delta) {
 
 SsspResult DynamicSolver::solve(vid_t root, const SsspOptions& options) {
   check_root("DynamicSolver::solve", root, graph_.num_vertices());
-  if (options.delta == 0) {
-    throw std::invalid_argument("DynamicSolver::solve: delta must be >= 1");
-  }
+  check_options("DynamicSolver::solve", options);
   ensure_views(options.delta);
 
   const vid_t n = graph_.num_vertices();
   SsspResult result;
   result.dist.assign(n, kInfDist);
   if (options.track_parents) result.parent.assign(n, kInvalidVid);
-  std::vector<RankCounters> rank_counters(session_.num_ranks());
 
   // A fresh solve is the degenerate seeded sweep: nothing preset, one seed
   // relaxing the root to 0. Identical distances to Solver::solve of the
   // materialized graph (distances are option- and schedule-independent).
   const std::vector<char> settled(n, 0);
   const std::vector<RelaxMsg> seeds{RelaxMsg{root, 0, root}};
-
-  SeededSolveJob job;
-  job.graph = &graph_.base();
-  job.part = part_;
-  job.views = &views_;
-  job.dist = &result.dist;
-  job.parent = options.track_parents ? &result.parent : nullptr;
-  job.root = root;
-  job.settled_init = &settled;
-  job.seeds = &seeds;
-  job.max_weight = graph_.max_weight();
-  job.rank_counters = &rank_counters;
-  job.stats = &result.stats;
-  run_seeded_solve(session_, job, options);
+  run_engine(session_,
+             {.graph = &graph_.base(),
+              .part = part_,
+              .views = &views_,
+              .dist = &result.dist,
+              .parent = options.track_parents ? &result.parent : nullptr,
+              .root = root,
+              .stats = &result.stats,
+              .max_weight = graph_.max_weight(),
+              .settled_init = &settled,
+              .seeds = &seeds},
+             options);
 
   if (options.track_parents) {
     // Always canonical on the dynamic path (see header): repair()'s
@@ -90,7 +75,6 @@ SsspResult DynamicSolver::solve(vid_t root, const SsspOptions& options) {
           [&](auto&& fn) { graph_.for_each_arc(v, fn); });
     }
   }
-  accumulate_counters(rank_counters, result.stats);
   return result;
 }
 
@@ -115,9 +99,7 @@ SsspResult DynamicSolver::repair(vid_t root, const SsspResult& prior,
                                  const SsspOptions& options) {
   const vid_t n = graph_.num_vertices();
   check_root("DynamicSolver::repair", root, n);
-  if (options.delta == 0) {
-    throw std::invalid_argument("DynamicSolver::repair: delta must be >= 1");
-  }
+  check_options("DynamicSolver::repair", options);
   if (!options.track_parents) {
     throw std::invalid_argument(
         "DynamicSolver::repair: requires options.track_parents (the planner "
@@ -148,22 +130,19 @@ SsspResult DynamicSolver::repair(vid_t root, const SsspResult& prior,
   std::vector<char> changed(n, 0);
   if (plan.needs_sweep) {
     ScopedSpan span(lane, SpanCat::kRepairSweep, plan.seeds.size());
-    std::vector<RankCounters> rank_counters(session_.num_ranks());
-    SeededSolveJob job;
-    job.graph = &graph_.base();
-    job.part = part_;
-    job.views = &views_;
-    job.dist = &result.dist;
-    job.parent = &result.parent;
-    job.root = root;
-    job.settled_init = &plan.settled;
-    job.seeds = &plan.seeds;
-    job.changed = &changed;
-    job.max_weight = graph_.max_weight();
-    job.rank_counters = &rank_counters;
-    job.stats = &result.stats;
-    run_seeded_solve(session_, job, options);
-    accumulate_counters(rank_counters, result.stats);
+    run_engine(session_,
+               {.graph = &graph_.base(),
+                .part = part_,
+                .views = &views_,
+                .dist = &result.dist,
+                .parent = &result.parent,
+                .root = root,
+                .stats = &result.stats,
+                .max_weight = graph_.max_weight(),
+                .settled_init = &plan.settled,
+                .seeds = &plan.seeds,
+                .changed = &changed},
+               options);
   }
 
   // Canonical re-parenting of exactly the dirty region: vertices whose

@@ -19,7 +19,8 @@
 //      still present in the final graph (weight decreases and fresh
 //      inserts). Non-improving seeds are filtered out host-side.
 //
-// The seeded engine (core/seeded_solve.hpp) unsettles any preset vertex a
+// The seeded sweep (a seeded EngineJob, core/engine_job.hpp) unsettles any
+// preset vertex a
 // strictly better distance reaches, so decreases cascade exactly like a
 // fresh solve's relaxations.
 #pragma once
@@ -28,7 +29,7 @@
 #include <span>
 #include <vector>
 
-#include "core/seeded_solve.hpp"  // IWYU pragma: export (RelaxMsg seeds API)
+#include "core/engine_job.hpp"
 #include "core/types.hpp"
 #include "update/dynamic_graph.hpp"
 #include "update/edge_batch.hpp"

@@ -9,7 +9,7 @@
 #include <thread>
 #include <vector>
 
-#include "core/delta_engine.hpp"
+#include "core/engine_job.hpp"
 #include "core/solver.hpp"
 #include "graph/rmat.hpp"
 #include "runtime/machine_session.hpp"
@@ -60,7 +60,7 @@ TEST(MachineSession, JobsRunInSubmissionOrder) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
 }
 
-TEST(MachineSession, SsspOnSessionMatchesSpawnPerJobMachine) {
+TEST(MachineSession, SsspOnSessionMatchesSolver) {
   RmatConfig cfg;
   cfg.scale = 8;
   cfg.edge_factor = 8;
@@ -81,21 +81,18 @@ TEST(MachineSession, SsspOnSessionMatchesSpawnPerJobMachine) {
   });
 
   // Two identical solves back to back on the same session: both must match
-  // the Machine-based solver bit for bit.
+  // the Solver's answer bit for bit.
   for (int round = 0; round < 2; ++round) {
-    std::vector<dist_t> dist(g.num_vertices(), kInfDist);
-    std::vector<RankCounters> counters(kRanks);
+    std::vector<dist_t> dist;
     SsspStats stats;
-    EngineShared shared;
-    shared.graph = &g;
-    shared.part = part;
-    shared.views = &views;
-    shared.dist = &dist;
-    shared.root = 5;
-    shared.options = &options;
-    shared.rank_counters = &counters;
-    shared.stats = &stats;
-    session.run([&shared](RankCtx& ctx) { run_sssp_job(ctx, shared); });
+    run_engine(session,
+               {.graph = &g,
+                .part = part,
+                .views = &views,
+                .dist = &dist,
+                .root = 5,
+                .stats = &stats},
+               options);
     EXPECT_EQ(dist, expected.dist) << "round " << round;
   }
   EXPECT_EQ(session.jobs_completed(), 3u);  // view build + 2 solves

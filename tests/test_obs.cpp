@@ -160,6 +160,15 @@ TEST(Metrics, HistogramClampsOutOfRangeValues) {
   ASSERT_EQ(snap.buckets.size(), 4u);
   EXPECT_EQ(snap.buckets.front(), 1u);
   EXPECT_EQ(snap.buckets.back(), 1u);
+
+  // Every sample equals 8.5, low in bucket [8,16) whose midpoint is
+  // 8*sqrt(2) ~ 11.3: no percentile may exceed the observed maximum.
+  Histogram same(cfg);
+  for (int i = 0; i < 5; ++i) same.record(8.5);
+  const auto s = same.snapshot();
+  for (const double p : {0.5, 0.9, 0.99, 1.0}) {
+    EXPECT_LE(s.percentile(p), 8.5) << "p" << 100 * p;
+  }
 }
 
 // The cross-check the serving reports rely on: histogram percentiles must

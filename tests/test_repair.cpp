@@ -293,6 +293,23 @@ TEST(RepairErrors, RequiresParentsAndAWellFormedPrior) {
   EXPECT_THROW(
       solver.solve(solver.graph().num_vertices(), options),
       std::out_of_range);
+
+  // Malformed option sets are rejected before any view is built.
+  SsspOptions zero_delta = options;
+  zero_delta.delta = 0;
+  EXPECT_THROW(solver.solve(0, zero_delta), std::invalid_argument);
+  EXPECT_THROW(solver.repair(0, prior, batches, zero_delta),
+               std::invalid_argument);
+  SsspOptions zero_rho = SsspOptions::rho_stepping(0);
+  zero_rho.track_parents = true;
+  EXPECT_THROW(solver.solve(0, zero_rho), std::invalid_argument);
+  EXPECT_THROW(solver.repair(0, prior, batches, zero_rho),
+               std::invalid_argument);
+  SsspOptions zero_radius = SsspOptions::radius_stepping(0);
+  zero_radius.track_parents = true;
+  EXPECT_THROW(solver.solve(0, zero_radius), std::invalid_argument);
+  EXPECT_THROW(solver.repair(0, prior, batches, zero_radius),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "core/solver.hpp"
 #include "graph/graph_algos.hpp"
 #include "graph/rmat.hpp"
@@ -93,6 +95,48 @@ TEST(PairTraffic, RecordedWhenEnabled) {
   }
   EXPECT_GT(total, 0u);
   EXPECT_EQ(diagonal, 0u);  // self messages never hit the network
+}
+
+// Solver's machine is a MachineSession, whose counters accumulate across
+// jobs; Solver::solve and solve_multi reset them first, so every reader of
+// solver.machine().traffic() / pair_messages() sees the last call alone.
+TEST(PairTraffic, PerSolveOnTheSessionHost) {
+  RmatConfig cfg;
+  cfg.scale = 8;
+  cfg.edge_factor = 8;
+  const auto g = CsrGraph::from_edges(generate_rmat(cfg));
+  Solver solver(g, {.machine = {.num_ranks = 4, .lanes_per_rank = 1,
+                                .record_pair_traffic = true}});
+  const vid_t root = sample_roots(g, 1, 1).at(0);
+  const SsspOptions options = SsspOptions::opt(25);
+  struct Reading {
+    TrafficCounters merged;
+    std::vector<std::uint64_t> pairs;
+  };
+  const auto solve_once = [&] {
+    solver.solve(root, options);
+    return Reading{solver.machine().traffic().merged(),
+                   solver.machine().pair_messages()};
+  };
+  const auto expect_same = [](const Reading& a, const Reading& b) {
+    EXPECT_EQ(a.merged.messages, b.merged.messages);
+    EXPECT_EQ(a.merged.bytes, b.merged.bytes);
+    EXPECT_EQ(a.merged.allreduces, b.merged.allreduces);
+    EXPECT_EQ(a.merged.barriers, b.merged.barriers);
+    EXPECT_EQ(a.pairs, b.pairs);
+  };
+  const Reading first = solve_once();
+  EXPECT_GT(first.merged.total_messages(), 0u);
+  expect_same(first, solve_once());
+
+  const std::vector<vid_t> roots = sample_roots(g, 3, 7);
+  solver.solve_multi(roots, options);
+  const Reading multi{solver.machine().traffic().merged(),
+                      solver.machine().pair_messages()};
+  solver.solve_multi(roots, options);
+  expect_same(multi, Reading{solver.machine().traffic().merged(),
+                             solver.machine().pair_messages()});
+  expect_same(first, solve_once());
 }
 
 TEST(PairTraffic, EmptyWhenDisabled) {

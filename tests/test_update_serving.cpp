@@ -11,6 +11,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "core/parent_canon.hpp"
 #include "graph/edge_list.hpp"
 #include "graph/rmat.hpp"
 #include "seq/dijkstra.hpp"
@@ -223,6 +224,32 @@ TEST(UpdateServing, ParentsStayCanonicalThroughUpdates) {
       }
       EXPECT_TRUE(tight) << "v=" << v;
     }
+  }
+}
+
+// Canonical parents are a function of the logical graph: where the served
+// engine canonicalizes (async, stepping, canonical_parents) it must read
+// the arcs of the snapshot's views, not the snapshot's base CSR, which
+// lags every update until the next compaction.
+TEST(UpdateServing, CanonicalParentsFollowTheLogicalGraph) {
+  DynamicGraph graph(rmat_graph(29));
+  QueryEngine engine(graph, serve_config(2, /*cache=*/0));
+  const Probe p = probe_vertex(graph, 2);
+  engine.update(EdgeBatch{}.insert_edge(2, p.non_neighbor, 1));
+
+  const CsrGraph now = graph.materialize();
+  const std::vector<dist_t> dist = dijkstra_distances(now, 2);
+  std::vector<vid_t> expected(now.num_vertices());
+  canonicalize_parents(now, 2, dist, expected);
+  SsspOptions del = SsspOptions::del(25);
+  del.canonical_parents = true;
+  for (SsspOptions options :
+       {del, SsspOptions::async_opt(25), SsspOptions::delta_star(25)}) {
+    options.track_parents = true;
+    const QueryResult served = engine.query(2, options);
+    ASSERT_EQ(served.answer->dist, dist);
+    EXPECT_EQ(served.answer->parent, expected)
+        << "algo " << static_cast<int>(options.algo);
   }
 }
 
