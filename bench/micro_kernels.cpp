@@ -3,8 +3,6 @@
 // collectives, and the full solve at small scale.
 #include <benchmark/benchmark.h>
 
-#include <span>
-
 #include "bench_util/runner.hpp"
 #include "core/buckets.hpp"
 #include "core/dist_graph.hpp"
@@ -116,11 +114,7 @@ void BM_Exchange(benchmark::State& state) {
 }
 BENCHMARK(BM_Exchange)->Arg(2)->Arg(8);
 
-// --- Relax data path pairs (docs/PERFORMANCE.md) -------------------------
-// Each kernel below exists twice: a *Seed variant reproducing the pre-pool
-// data path (fresh nested vectors every phase, serial lane merge,
-// pack/unpack byte exchange, full unreduced stream) and a *Pooled variant
-// running the production path. scripts/perf_smoke.py compares the pairs.
+// --- Relax data path kernels (docs/PERFORMANCE.md) -----------------------
 
 constexpr rank_t kDpRanks = 4;
 constexpr int kDpRounds = 20;
@@ -137,47 +131,10 @@ RelaxMsg dp_message(rank_t r, std::uint32_t i, vid_t block) {
   return {v, static_cast<dist_t>(h % 100000), static_cast<vid_t>(i)};
 }
 
-void BM_RelaxExchangeSeed(benchmark::State& state) {
-  // A persistent session, so per-iteration cost is the data path itself,
-  // not 4 thread spawns/joins.
-  MachineSession session({.num_ranks = kDpRanks});
-  const vid_t block = vid_t{1} << 12;
-  for (auto _ : state) {
-    session.run([&](RankCtx& ctx) {
-      const rank_t r = ctx.rank();
-      std::vector<dist_t> dist(block, kInfDist);
-      for (int round = 0; round < kDpRounds; ++round) {
-        // The seed's shape: nested vectors born and destroyed every phase,
-        // then a pack/unpack byte exchange.
-        std::vector<std::vector<RelaxMsg>> out(kDpRanks);
-        for (rank_t d = 0; d < kDpRanks; ++d) {
-          for (std::uint32_t i = 0; i < kDpMsgsPerDest; ++i) {
-            out[d].push_back(dp_message(r, i, block));
-          }
-        }
-        const auto in = ctx.exchange(std::move(out), PhaseKind::kShortPhase);
-        std::uint64_t improved = 0;
-        for (const auto& batch : in) {
-          for (const RelaxMsg& msg : batch) {
-            if (msg.nd < dist[msg.v]) {
-              dist[msg.v] = msg.nd;
-              ++improved;
-            }
-          }
-        }
-        benchmark::DoNotOptimize(improved);
-      }
-    });
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          kDpRounds * kDpRanks * kDpRanks * kDpMsgsPerDest);
-}
-BENCHMARK(BM_RelaxExchangeSeed);
-
-// Pooled counterpart: same emission, zero-copy exchange, no churn. The
-// sender-side reducer is deliberately NOT run here — it is a wire-volume
-// optimization whose CPU cost/benefit is measured on its own by
-// BM_SenderReduce; this pair isolates the buffer-management structure.
+// Emission, zero-copy exchange and apply over a persistent session, so
+// per-iteration cost is the data path itself, not 4 thread spawns/joins.
+// The sender-side reducer is deliberately NOT run here — its CPU cost is
+// measured on its own by BM_SenderReduce.
 void BM_RelaxExchangePooled(benchmark::State& state) {
   MachineSession session({.num_ranks = kDpRanks});
   const vid_t block = vid_t{1} << 12;
@@ -213,34 +170,7 @@ void BM_RelaxExchangePooled(benchmark::State& state) {
 }
 BENCHMARK(BM_RelaxExchangePooled);
 
-// Receive-side apply in isolation: the seed variant pays the unpack memcpy
-// (bytes -> typed vector) the old exchange did before every apply; the
-// pooled variant applies straight out of the received buffers.
-void BM_RelaxApplySeed(benchmark::State& state) {
-  const vid_t block = vid_t{1} << 14;
-  std::vector<RelaxMsg> stream;
-  for (std::uint32_t i = 0; i < 4 * kDpMsgsPerDest; ++i) {
-    stream.push_back(dp_message(0, i, block));
-  }
-  const auto bytes = ExchangeBoard::pack(std::span<const RelaxMsg>(stream));
-  std::vector<dist_t> dist(block, kInfDist);
-  for (auto _ : state) {
-    const auto batch = ExchangeBoard::unpack<RelaxMsg>(bytes);
-    std::uint64_t improved = 0;
-    for (const RelaxMsg& msg : batch) {
-      if (msg.nd < dist[msg.v]) {
-        dist[msg.v] = msg.nd;
-        ++improved;
-      }
-    }
-    benchmark::DoNotOptimize(improved);
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(stream.size()));
-}
-BENCHMARK(BM_RelaxApplySeed);
-
+// Receive-side apply in isolation, straight out of a received buffer.
 void BM_RelaxApplyPooled(benchmark::State& state) {
   const vid_t block = vid_t{1} << 14;
   std::vector<RelaxMsg> stream;
@@ -287,35 +217,6 @@ void BM_SenderReduce(benchmark::State& state) {
                           static_cast<std::int64_t>(stream.size()));
 }
 BENCHMARK(BM_SenderReduce);
-
-// Full solves on the scale-12 graph at 4 ranks, both data paths — the
-// end-to-end numbers the acceptance criteria and PERFORMANCE.md quote.
-void solve_data_path_bench(benchmark::State& state, DataPath path) {
-  const CsrGraph& g = shared_graph();
-  Solver solver(g, {.machine = {.num_ranks = kDpRanks}});
-  SsspOptions options = SsspOptions::opt(25);
-  options.data_path = path;
-  options.sender_reduction = path == DataPath::kPooled;
-  options.parallel_apply = path == DataPath::kPooled;
-  const auto roots = sample_roots(g, 1, 1);
-  solver.solve(roots[0], options);  // warm the views
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(solver.solve(roots[0], options));
-  }
-  state.SetItemsProcessed(
-      static_cast<std::int64_t>(state.iterations()) *
-      static_cast<std::int64_t>(g.num_undirected_edges()));
-}
-
-void BM_SolveOptSeedPath(benchmark::State& state) {
-  solve_data_path_bench(state, DataPath::kReference);
-}
-BENCHMARK(BM_SolveOptSeedPath);
-
-void BM_SolveOptPooledPath(benchmark::State& state) {
-  solve_data_path_bench(state, DataPath::kPooled);
-}
-BENCHMARK(BM_SolveOptPooledPath);
 
 void BM_SolveOpt(benchmark::State& state) {
   const CsrGraph& g = shared_graph();

@@ -18,9 +18,10 @@ enforce (see docs/STATIC_ANALYSIS.md):
   R5  no using namespace at file scope in headers;
   R7  engine hot paths (the files listed in ENGINE_HOT_PATHS) must not
       build nested vector-of-vector send buffers of message types — relax
-      emission goes through SendBufferPool so buffers are pooled and
-      exchanged zero-copy (docs/PERFORMANCE.md); the seed's per-phase
-      std::vector<std::vector<RelaxMsg>> churn must not creep back in.
+      emission goes through SendBufferPool, the one data path, so buffers
+      are pooled and exchanged zero-copy (docs/PERFORMANCE.md); the retired
+      seed path's per-phase std::vector<std::vector<RelaxMsg>> churn must
+      not creep back in.
 
 Retired rules (numbers are not reused):
 
@@ -74,9 +75,10 @@ THREAD_ALLOWED_PREFIXES = ("src/runtime/",)
 THREAD_ALLOWED_DIRS = ("tests/", "bench/")
 
 # R7 applies to the engine hot paths — the files whose relax emission the
-# pooled data path rebuilt. The generic plumbing (RankCtx::exchange_merged,
-# SendBufferPool::merged) legitimately names vector<vector<T>>; engines may
-# only reach it through a SendBufferPool.
+# pooled data path rebuilt. The generic plumbing (RankCtx::exchange for
+# one-shot callers, SendBufferPool's incoming batches) legitimately names
+# vector<vector<T>>; engines may only reach the board through a
+# SendBufferPool.
 ENGINE_HOT_PATHS = frozenset({
     "src/core/delta_engine.cpp",
     "src/core/delta_engine.hpp",

@@ -15,9 +15,7 @@
 #                                   root and failing if its comparisons fail
 #   scripts/reproduce.sh --micro    only build + run bench/micro_kernels,
 #                                   writing BENCH_micro_kernels.json at the
-#                                   repo root and failing if the data-path
-#                                   perf smoke (scripts/perf_smoke.py)
-#                                   detects a regression
+#                                   repo root
 #   scripts/reproduce.sh --trace    only build + run a traced, validated
 #                                   solve (tools/sssp_cli --trace), writing
 #                                   trace.json at the repo root; fails if
@@ -155,13 +153,12 @@ if [ "$TUNER" -eq 1 ]; then
 fi
 
 if [ "$MICRO" -eq 1 ]; then
-  # Fast path for CI perf smoke: no test sweep, no figure benches.
+  # Micro-kernel numbers only: no test sweep, no figure benches.
   cmake -B build -S . >/dev/null
   cmake --build build -j --target micro_kernels
   ./build/bench/micro_kernels \
     --benchmark_out=BENCH_micro_kernels.json \
     --benchmark_out_format=json
-  python3 scripts/perf_smoke.py BENCH_micro_kernels.json
   echo "wrote BENCH_micro_kernels.json"
   exit 0
 fi

@@ -95,11 +95,6 @@ void AsyncEngine::ensure_phase() {
   // lazily: exactly one begin_phase per flush. Nothing may push into a
   // shard outside an open phase — begin_phase clears shard sizes.
   if (phase_open_) return;
-  if (opt_.data_path == DataPath::kReference) {
-    // The baseline pays allocation churn every phase, exactly like the
-    // bucket-synchronous reference path does.
-    out_pool_.release();
-  }
   out_pool_.begin_phase();
   phase_open_ = true;
 }

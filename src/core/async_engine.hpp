@@ -25,10 +25,9 @@
 // Contract: distances are bit-identical to the bucket-synchronous OPT
 // engine's (both compute the exact SSSP); parents are canonicalized by
 // run_engine (core/engine_job.hpp) so they match too. The engine honors
-// delta (priority granularity), data_path (pooled buffer recycling vs the
-// allocate-per-round reference baseline) and track_parents; the
-// bucket-synchronous work-shaping knobs (pruning, ios, hybrid_tau, ...)
-// are inert here — see SsspOptions::async_opt.
+// delta (priority granularity) and track_parents; the bucket-synchronous
+// work-shaping knobs (pruning, ios, hybrid_tau, ...) are inert here — see
+// SsspOptions::async_opt.
 #pragma once
 
 #include <algorithm>

@@ -84,15 +84,12 @@ BfsResult BfsSolver::solve(vid_t root, const BfsOptions& options) {
     }
 
     // Pooled exchange buffers: top-down discovery messages and bottom-up
-    // frontier bitmaps. One emission lane (BFS generates serially); the
-    // reference path drops capacity every step so the baseline pays the
-    // seed's churn.
+    // frontier bitmaps. One emission lane (BFS generates serially).
     SendBufferPool<BfsMsg> msg_pool;
     SendBufferPool<std::uint64_t> bitmap_pool;
     SenderReducer<unsigned char> dedup;
     msg_pool.configure(1, ranks);
     bitmap_pool.configure(1, ranks);
-    const bool reference = options.data_path == DataPath::kReference;
 
     std::uint64_t cur = 0;
     bool bottom_up = false;
@@ -127,7 +124,6 @@ BfsResult BfsSolver::solve(vid_t root, const BfsOptions& options) {
       if (!bottom_up) {
         // Top-down: message per frontier out-edge (the SSSP push analogue).
         ++out.top_down;
-        if (reference) msg_pool.release();
         msg_pool.begin_phase();
         std::uint64_t emitted = 0;
         for (const vid_t u : frontier) {
@@ -138,30 +134,22 @@ BfsResult BfsSolver::solve(vid_t root, const BfsOptions& options) {
           }
         }
         out.edges_examined += emitted;
-        std::uint64_t posted = emitted;
-        if (reference) {
-          ctx.exchange_merged(msg_pool, PhaseKind::kShortPhase);
-        } else {
-          if (options.sender_reduction) {
-            // Keep-first dedup per destination vertex: a later message for
-            // an already-messaged vertex can never win the level or the
-            // parent (the receiver keeps the first arrival), so dropping
-            // it is exact.
-            dedup.ensure(part_.block_size());
-            for (rank_t d = 0; d < ranks; ++d) {
-              const vid_t dest_begin = part_.begin(d);
-              dedup.begin_dest();
-              dedup.reduce(
-                  msg_pool.shard(0, d),
-                  [dest_begin](const BfsMsg& m) {
-                    return static_cast<std::size_t>(m.v - dest_begin);
-                  },
-                  [](const BfsMsg&) { return static_cast<unsigned char>(0); });
-            }
-          }
-          posted = msg_pool.pending_messages();
-          ctx.exchange_pooled(msg_pool, PhaseKind::kShortPhase);
+        // Keep-first dedup per destination vertex: a later message for an
+        // already-messaged vertex can never win the level or the parent
+        // (the receiver keeps the first arrival), so dropping it is exact.
+        dedup.ensure(part_.block_size());
+        for (rank_t d = 0; d < ranks; ++d) {
+          const vid_t dest_begin = part_.begin(d);
+          dedup.begin_dest();
+          dedup.reduce(
+              msg_pool.shard(0, d),
+              [dest_begin](const BfsMsg& m) {
+                return static_cast<std::size_t>(m.v - dest_begin);
+              },
+              [](const BfsMsg&) { return static_cast<unsigned char>(0); });
         }
+        const std::uint64_t posted = msg_pool.pending_messages();
+        ctx.exchange_pooled(msg_pool, PhaseKind::kShortPhase);
         std::uint64_t applied = 0;
         for (const auto& batch : msg_pool.incoming()) {
           applied += batch.size();
@@ -186,16 +174,11 @@ BfsResult BfsSolver::solve(vid_t root, const BfsOptions& options) {
         for (const vid_t u : frontier) {
           my_bits[u / 64] |= std::uint64_t{1} << (u % 64);
         }
-        if (reference) bitmap_pool.release();
         bitmap_pool.begin_phase();
         for (rank_t d = 0; d < ranks; ++d) {
           bitmap_pool.shard(0, d).assign(my_bits.begin(), my_bits.end());
         }
-        if (reference) {
-          ctx.exchange_merged(bitmap_pool, PhaseKind::kPullRequest);
-        } else {
-          ctx.exchange_pooled(bitmap_pool, PhaseKind::kPullRequest);
-        }
+        ctx.exchange_pooled(bitmap_pool, PhaseKind::kPullRequest);
         // Incoming batches carry their source rank, which fixes each
         // bitmap slice's position in the replicated frontier.
         const auto& bitmap_in = bitmap_pool.incoming();

@@ -32,11 +32,6 @@ struct BfsOptions {
   /// Switch back to top-down when frontier_vertices * beta < num_vertices.
   double beta = 1.0 / 64.0;
   bool track_parents = false;
-  /// Relax/exchange data path, same semantics as SsspOptions::data_path.
-  DataPath data_path = DataPath::kPooled;
-  /// Sender-side keep-first dedup of top-down discovery messages (exact:
-  /// a later message for an already-messaged vertex can never win).
-  bool sender_reduction = true;
   CostModelParams cost_model;
 };
 

@@ -118,10 +118,6 @@ std::uint64_t DeltaEngine::next_bucket(std::int64_t after) {
 }
 
 void DeltaEngine::begin_relax_emit() {
-  if (opt_.data_path == DataPath::kReference) {
-    // The baseline pays the seed's churn: fresh allocations every phase.
-    relax_pool_.release();
-  }
   relax_pool_.begin_phase();
   for (auto& e : lane_emitted_) e.value = 0;
 }
@@ -138,13 +134,7 @@ std::pair<std::uint64_t, std::uint64_t> DeltaEngine::emit_totals() const {
 
 std::uint64_t DeltaEngine::relax_exchange(PhaseKind kind,
                                           bool allow_reduction) {
-  const SsspOptions& o = opt_;
-  if (o.data_path == DataPath::kReference) {
-    const std::uint64_t posted = relax_pool_.pending_messages();
-    ctx_.exchange_merged(relax_pool_, kind);
-    return posted;
-  }
-  if (o.sender_reduction && allow_reduction) {
+  if (allow_reduction) {
     const rank_t ranks = ctx_.num_ranks();
     const unsigned lanes = relax_pool_.lanes();
     reducer_.ensure(job_.part.block_size());
@@ -171,9 +161,7 @@ std::uint64_t DeltaEngine::apply_incoming(std::uint64_t frontier_k,
   std::uint64_t total = 0;
   for (const auto& batch : relax_pool_.incoming()) total += batch.size();
   ScopedSpan span(tlane_, SpanCat::kApply, total);
-  const SsspOptions& o = opt_;
-  if (o.data_path == DataPath::kPooled && o.parallel_apply &&
-      ctx_.pool().lanes() > 1 && total != 0) {
+  if (ctx_.pool().lanes() > 1 && total != 0) {
     apply_parallel(frontier_k, mode);
   } else {
     apply_serial(frontier_k, mode);
@@ -484,7 +472,6 @@ void DeltaEngine::long_phase_pull(std::uint64_t k) {
   const SsspOptions& o = opt_;
   const dist_t kdelta = k * static_cast<dist_t>(o.delta);
   const unsigned lanes = ctx_.pool().lanes();
-  const bool reference = o.data_path == DataPath::kReference;
 
   // Modeled lane loads. Pull work is attributed to each vertex's owner
   // lane (the paper's fixed thread ownership); with load balancing on,
@@ -517,7 +504,6 @@ void DeltaEngine::long_phase_pull(std::uint64_t k) {
   // under IOS the short arcs also qualify wholesale (w < Delta <= bound).
   // Requests are not reducible (each (u, v, w) asks a distinct question),
   // so they ride the pool purely for buffer reuse and zero-copy transport.
-  if (reference) req_pool_.release();
   req_pool_.begin_phase();
   std::uint64_t requests = 0;
   for (vid_t v = 0; v < nloc_; ++v) {
@@ -548,11 +534,7 @@ void DeltaEngine::long_phase_pull(std::uint64_t k) {
     charge(v, sent);
   }
   counters_.pull_requests += requests;
-  if (reference) {
-    ctx_.exchange_merged(req_pool_, PhaseKind::kPullRequest);
-  } else {
-    ctx_.exchange_pooled(req_pool_, PhaseKind::kPullRequest);
-  }
+  ctx_.exchange_pooled(req_pool_, PhaseKind::kPullRequest);
   std::uint64_t req_received = 0;
   for (const auto& b : req_pool_.incoming()) req_received += b.size();
   const StepReduce red_req = account_step(

@@ -91,22 +91,20 @@ class DeltaEngine {
   };
 
   /// Readies relax_pool_ for a phase's emission and zeroes lane_emitted_.
-  /// On the reference path this first drops all pooled capacity, so the
-  /// baseline really pays the seed's per-phase allocations.
   void begin_relax_emit();
 
   /// Sums/maxes lane_emitted_ into (emitted, max_lane).
   std::pair<std::uint64_t, std::uint64_t> emit_totals() const;
 
-  /// Sender-side reduction (pooled path, when enabled and `allow_reduction`)
-  /// followed by the exchange. Returns the number of messages that actually
+  /// Sender-side reduction (when `allow_reduction`) followed by the
+  /// exchange. Returns the number of messages that actually
   /// crossed (post-reduction, self-delivery included) — the byte basis for
   /// account_step. Incoming batches land in relax_pool_.
   std::uint64_t relax_exchange(PhaseKind kind, bool allow_reduction);
 
   /// Applies relax_pool_.incoming() to owned vertices, serially or
-  /// lane-partitioned by destination vertex range (pooled path with
-  /// parallel_apply and >1 lanes). Returns the number of incoming messages.
+  /// lane-partitioned by destination vertex range (when the rank has >1
+  /// lanes and something arrived). Returns the number of incoming messages.
   std::uint64_t apply_incoming(std::uint64_t frontier_k, InsertMode mode);
   void apply_serial(std::uint64_t frontier_k, InsertMode mode);
   void apply_parallel(std::uint64_t frontier_k, InsertMode mode);

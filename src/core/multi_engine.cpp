@@ -174,37 +174,21 @@ class MultiEngine {
     return red;
   }
 
-  /// Readies the pool for a phase's emission. The reference path first
-  /// drops all pooled capacity so the baseline pays the seed's per-phase
-  /// allocations.
-  void begin_emit() {
-    if (sh_.options->data_path == DataPath::kReference) pool_.release();
-    pool_.begin_phase();
-  }
-
-  /// Sender-side reduction (pooled path) + exchange; incoming batches land
-  /// in pool_.incoming(). Returns the post-reduction message count (the
-  /// byte basis for account_step).
+  /// Sender-side reduction + exchange; incoming batches land in
+  /// pool_.incoming(). Returns the post-reduction message count (the byte
+  /// basis for account_step).
   std::uint64_t exchange_phase(PhaseKind kind) {
-    const SsspOptions& o = *sh_.options;
-    if (o.data_path == DataPath::kReference) {
-      const std::uint64_t posted = pool_.pending_messages();
-      ctx_.exchange_merged(pool_, kind);
-      return posted;
-    }
-    if (o.sender_reduction) {
-      // Key = (destination local id, slot): slots are independent folds.
-      reducer_.ensure(sh_.part.block_size() * k_);
-      for (rank_t d = 0; d < ctx_.num_ranks(); ++d) {
-        const vid_t dest_begin = sh_.part.begin(d);
-        reducer_.begin_dest();
-        reducer_.reduce(
-            pool_.shard(0, d),
-            [this, dest_begin](const MultiRelaxMsg& m) {
-              return static_cast<std::size_t>(m.v - dest_begin) * k_ + m.slot;
-            },
-            [](const MultiRelaxMsg& m) { return m.nd; });
-      }
+    // Key = (destination local id, slot): slots are independent folds.
+    reducer_.ensure(sh_.part.block_size() * k_);
+    for (rank_t d = 0; d < ctx_.num_ranks(); ++d) {
+      const vid_t dest_begin = sh_.part.begin(d);
+      reducer_.begin_dest();
+      reducer_.reduce(
+          pool_.shard(0, d),
+          [this, dest_begin](const MultiRelaxMsg& m) {
+            return static_cast<std::size_t>(m.v - dest_begin) * k_ + m.slot;
+          },
+          [](const MultiRelaxMsg& m) { return m.nd; });
     }
     const std::uint64_t posted = pool_.pending_messages();
     ctx_.exchange_pooled(pool_, kind);
@@ -263,7 +247,7 @@ class MultiEngine {
       ScopedSpan span(
           tlane_, bf_regime ? SpanCat::kBellmanFord : SpanCat::kShortPhase,
           epoch_);
-      begin_emit();
+      pool_.begin_phase();
       std::uint64_t emitted = 0;
       for (std::size_t s = 0; s < k_; ++s) {
         if (frontier_[s].empty()) continue;
@@ -282,7 +266,7 @@ class MultiEngine {
     if (classify_) {
       ++phases_;
       ScopedSpan span(tlane_, SpanCat::kLongPush, epoch_);
-      begin_emit();
+      pool_.begin_phase();
       std::uint64_t emitted = 0;
       for (std::size_t s = 0; s < k_; ++s) {
         if (cur_[s] == kInfBucket) continue;

@@ -20,18 +20,6 @@ enum class PruneMode : std::uint8_t {
   kForcedSequence,  ///< per-bucket decisions supplied by the caller (§IV-G)
 };
 
-/// Which relax/exchange data path the engines run (docs/PERFORMANCE.md).
-/// Both produce bit-identical distances and parents; kReference exists as
-/// the verification and benchmark baseline.
-enum class DataPath : std::uint8_t {
-  /// Pooled send buffers, zero-copy segment exchange, optional sender-side
-  /// reduction and lane-parallel apply. The production default.
-  kPooled,
-  /// The seed data path: per-phase nested vectors, serial lane merge,
-  /// pack/unpack byte exchange, serial apply.
-  kReference,
-};
-
 /// Which execution model runs the solve (docs/ASYNC.md). Both produce
 /// bit-identical distances; parents agree once canonicalized.
 enum class SsspAlgo : std::uint8_t {
@@ -42,17 +30,16 @@ enum class SsspAlgo : std::uint8_t {
   /// lazy-batched local priority structure, forward speculatively, and
   /// terminate via distributed quiescence detection. Ignores the
   /// bucket-synchronous work-shaping knobs (pruning, ios, hybrid_tau,
-  /// heavy_degree_threshold, parallel_apply); honors delta (priority
-  /// granularity), data_path and track_parents. Parents are always
-  /// canonicalized (core/parent_canon.hpp) so they stay a pure function
-  /// of graph + dist.
+  /// heavy_degree_threshold); honors delta (priority granularity) and
+  /// track_parents. Parents are always canonicalized
+  /// (core/parent_canon.hpp) so they stay a pure function of graph + dist.
   kAsync,
   /// rho-stepping (arXiv 2105.06145): each step settles the front buckets
   /// of the lazy queue until roughly `rho` queued entries are covered,
   /// then runs relax/exchange rounds to a fixpoint below that threshold.
   /// delta is the priority granularity of the queue, `rho` the batch
-  /// target. Step-synchronous; honors data_path and track_parents;
-  /// parents always canonicalized (docs/STEPPING.md).
+  /// target. Step-synchronous; honors track_parents; parents always
+  /// canonicalized (docs/STEPPING.md).
   kRho,
   /// Delta*-stepping (arXiv 2105.06145): plain bucket steps of width
   /// delta with NO light/heavy edge split — every arc of a settled vertex
@@ -156,20 +143,9 @@ struct SsspOptions {
   /// track_parents is set.
   bool canonical_parents = false;
 
-  // --- Relax/exchange data path (docs/PERFORMANCE.md) -------------------
-
-  DataPath data_path = DataPath::kPooled;
-  /// Sender-side no-op elimination: per destination vertex, drop relax
-  /// messages that cannot improve on an earlier message in the same
-  /// stream. Exact (bit-identical results); pooled path only. Long-push
-  /// phases keep the full stream while collect_bucket_details is on, so
-  /// the receiver-side Fig 7 classification still sees every relaxation.
-  bool sender_reduction = true;
-  /// Apply incoming relax batches on all worker lanes, partitioned by
-  /// destination local-vertex range (no atomics); pooled path only.
-  bool parallel_apply = true;
-
-  /// Diagnostics for the figure benches.
+  /// Diagnostics for the figure benches. Long-push phases skip sender-side
+  /// reduction while collect_bucket_details is on, so the receiver-side
+  /// Fig 7 classification still sees every relaxation.
   bool collect_phase_details = false;   ///< per-phase relax counts (Fig 4)
   bool collect_bucket_details = false;  ///< per-bucket push/pull stats (Fig 7)
 

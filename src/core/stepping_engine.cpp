@@ -220,25 +220,17 @@ std::uint64_t SteppingEngine::drain_and_relax(dist_t t) {
 }
 
 std::uint64_t SteppingEngine::relax_exchange() {
-  const SsspOptions& o = opt_;
-  if (o.data_path == DataPath::kReference) {
-    const std::uint64_t posted = relax_pool_.pending_messages();
-    ctx_.exchange_merged(relax_pool_, PhaseKind::kShortPhase);
-    return posted;
-  }
-  if (o.sender_reduction) {
-    const rank_t ranks = ctx_.num_ranks();
-    reducer_.ensure(job_.part.block_size());
-    for (rank_t d = 0; d < ranks; ++d) {
-      const vid_t dest_begin = job_.part.begin(d);
-      reducer_.begin_dest();
-      reducer_.reduce(
-          relax_pool_.shard(0, d),
-          [dest_begin](const RelaxMsg& m) {
-            return static_cast<std::size_t>(m.v - dest_begin);
-          },
-          [](const RelaxMsg& m) { return m.nd; });
-    }
+  const rank_t ranks = ctx_.num_ranks();
+  reducer_.ensure(job_.part.block_size());
+  for (rank_t d = 0; d < ranks; ++d) {
+    const vid_t dest_begin = job_.part.begin(d);
+    reducer_.begin_dest();
+    reducer_.reduce(
+        relax_pool_.shard(0, d),
+        [dest_begin](const RelaxMsg& m) {
+          return static_cast<std::size_t>(m.v - dest_begin);
+        },
+        [](const RelaxMsg& m) { return m.nd; });
   }
   const std::uint64_t posted = relax_pool_.pending_messages();
   ctx_.exchange_pooled(relax_pool_, PhaseKind::kShortPhase);
@@ -280,10 +272,6 @@ void SteppingEngine::settle_below(dist_t t) {
   while (any_active_globally(has_work_below())) {
     ++phases_;
     ScopedSpan span(tlane_, SpanCat::kShortPhase, steps_);
-    if (opt_.data_path == DataPath::kReference) {
-      // The baseline pays the seed's churn: fresh allocations per round.
-      relax_pool_.release();
-    }
     relax_pool_.begin_phase();
     const std::uint64_t emitted = drain_and_relax(t);
     const std::uint64_t posted = relax_exchange();

@@ -25,9 +25,8 @@
 // Contract: distances are bit-identical to the bucket-synchronous OPT
 // engine's (both compute the exact SSSP); parents are canonicalized by
 // run_engine (core/engine_job.hpp) so they match too. The engine
-// honors delta (queue granularity / Delta* width), rho, radius_k,
-// data_path (pooled send buffers + optional sender-side reduction vs the
-// reference merged exchange) and track_parents; the bucket-synchronous
+// honors delta (queue granularity / Delta* width), rho, radius_k and
+// track_parents; the bucket-synchronous
 // work-shaping knobs (pruning, ios, hybrid_tau, ...) are inert — see
 // SsspOptions::rho_stepping / delta_star / radius_stepping.
 #pragma once
@@ -77,8 +76,8 @@ class SteppingEngine {
   /// rest. Returns the number of relaxations emitted.
   std::uint64_t drain_and_relax(dist_t t);
 
-  /// Pooled/reference exchange of relax_pool_ (sender reduction honored
-  /// on the pooled path). Returns messages that crossed, the byte basis.
+  /// Sender-side reduction + exchange of relax_pool_. Returns messages
+  /// that crossed, the byte basis.
   std::uint64_t relax_exchange();
 
   /// Applies incoming batches: strict-<, push-on-improve. Returns the
@@ -116,7 +115,7 @@ class SteppingEngine {
   std::vector<LazyBucketQueue::Entry> batch_;
 
   /// Outgoing relax shards (single lane: the step loop is rank-thread
-  /// serial) plus the sender-side reduction scratch of the pooled path.
+  /// serial) plus the sender-side reduction scratch.
   SendBufferPool<RelaxMsg> relax_pool_;
   SenderReducer<dist_t> reducer_;
 

@@ -21,9 +21,13 @@ void Histogram::record(double v) {
   buckets_[bucket_index(v)].fetch_add(1, std::memory_order_relaxed);
   count_.fetch_add(1, std::memory_order_relaxed);
   sum_.fetch_add(v, std::memory_order_relaxed);
-  double prev = max_.load(std::memory_order_relaxed);
-  while (v > prev &&
-         !max_.compare_exchange_weak(prev, v, std::memory_order_relaxed)) {
+  double lo = min_.load(std::memory_order_relaxed);
+  while (v < lo &&
+         !min_.compare_exchange_weak(lo, v, std::memory_order_relaxed)) {
+  }
+  double hi = max_.load(std::memory_order_relaxed);
+  while (v > hi &&
+         !max_.compare_exchange_weak(hi, v, std::memory_order_relaxed)) {
   }
 }
 
@@ -36,6 +40,7 @@ Histogram::Snapshot Histogram::snapshot() const {
   }
   snap.count = count_.load(std::memory_order_relaxed);
   snap.sum = sum_.load(std::memory_order_relaxed);
+  snap.min = snap.count > 0 ? min_.load(std::memory_order_relaxed) : 0.0;
   snap.max = max_.load(std::memory_order_relaxed);
   return snap;
 }
@@ -53,12 +58,13 @@ double Histogram::Snapshot::percentile(double p) const {
     if (cum >= rank) {
       const double lo = config.base * std::pow(config.growth,
                                                static_cast<double>(i));
-      // Geometric bucket midpoint, clamped: no percentile may exceed the
-      // largest value actually recorded.
-      return std::min(lo * std::sqrt(config.growth), max);
+      // Geometric bucket midpoint, clamped: no percentile may fall outside
+      // the range of values actually recorded. (A snapshot racing the first
+      // record() may see min = +inf; max wins the clamp then.)
+      return std::min(std::max(lo * std::sqrt(config.growth), min), max);
     }
   }
-  return std::min(config.base, max);  // unreachable when counts agree
+  return std::min(std::max(config.base, min), max);  // counts disagree
 }
 
 Counter& MetricsRegistry::counter(std::string_view name) {

@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <deque>
 #include <iosfwd>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -71,6 +72,7 @@ class Histogram {
   struct Snapshot {
     std::uint64_t count = 0;
     double sum = 0;
+    double min = 0;  ///< smallest recorded value (0 when count is 0)
     double max = 0;
     Config config;
     std::vector<std::uint64_t> buckets;
@@ -80,7 +82,8 @@ class Histogram {
     }
     /// Nearest-rank percentile over the bucket counts; returns the
     /// geometric midpoint of the selected bucket (exact to within one
-    /// `growth` factor), clamped to `max`. p in (0, 1]; 0 count yields 0.
+    /// `growth` factor), clamped to [min, max]. p in (0, 1]; 0 count
+    /// yields 0.
     double percentile(double p) const;
   };
   Snapshot snapshot() const;
@@ -93,6 +96,7 @@ class Histogram {
   std::vector<std::atomic<std::uint64_t>> buckets_;
   std::atomic<std::uint64_t> count_{0};
   std::atomic<double> sum_{0.0};
+  std::atomic<double> min_{std::numeric_limits<double>::infinity()};
   std::atomic<double> max_{0.0};
 };
 

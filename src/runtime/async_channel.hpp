@@ -12,11 +12,11 @@
 // (runtime/quiescence.hpp), whose token rides this same channel as a
 // control message.
 //
-// Buffer discipline: batches are std::vector<T> moved in whole — on the
-// pooled data path the sender moves SendBufferPool shards straight into
-// post(), and the receiver retires drained batches back into its own
-// pool, so vector capacity keeps circulating exactly as it does across
-// bulk-synchronous phases (the PR-3 recycling story, minus the barriers).
+// Buffer discipline: batches are std::vector<T> moved in whole — the
+// sender moves SendBufferPool shards straight into post(), and the
+// receiver retires drained batches back into its own pool, so vector
+// capacity keeps circulating exactly as it does across bulk-synchronous
+// phases (the PR-3 recycling story, minus the barriers).
 //
 // Lock-order contract (seeded as an A1 fixture in scripts/analysis/
 // fixtures/lock_order/token_ring.*): every channel method takes exactly

@@ -109,10 +109,12 @@ class RankCtx {
 
   /// Bulk-synchronous all-to-all: out[d] holds this rank's messages for rank
   /// d; the returned vector holds in[s], the messages rank s sent here.
-  /// Self-addressed messages are delivered without touching the board (they
-  /// model intra-node work, not network traffic). Collective: every rank
-  /// must call exchange() the same number of times — enforced in checked
-  /// mode by stamping posts/takes with this rank's round counter.
+  /// Each out[d] moves through the board as one segment, so the vector the
+  /// receiver gets is the one the sender filled (no copy). Self-addressed
+  /// messages are delivered without touching the board (they model
+  /// intra-node work, not network traffic). Collective: every rank must
+  /// call exchange() the same number of times — enforced in checked mode
+  /// by stamping posts/takes with this rank's round counter.
   template <typename T>
   std::vector<std::vector<T>> exchange(std::vector<std::vector<T>> out,
                                        PhaseKind kind) {
@@ -132,8 +134,9 @@ class RankCtx {
         (*pair_messages_)[static_cast<std::size_t>(r) * ranks + d] +=
             out[d].size();
       }
-      board_.post(r, d, ExchangeBoard::pack(std::span<const T>(out[d])),
-                  round);
+      std::vector<ErasedBuffer> segment;
+      segment.push_back(ErasedBuffer(std::move(out[d])));
+      board_.post_segments(r, d, std::move(segment), round);
     }
     collectives_.barrier();
     std::vector<std::vector<T>> in(ranks);
@@ -141,16 +144,19 @@ class RankCtx {
       if (s == r) {
         in[s] = std::move(out[s]);
       } else {
-        in[s] = ExchangeBoard::unpack<T>(board_.take(s, r, round));
+        // An unchecked board yields no segment for a slot nobody posted.
+        for (ErasedBuffer& seg : board_.take_segments(s, r, round)) {
+          in[s] = seg.take_as<T>();
+        }
       }
     }
     collectives_.barrier();
     return in;
   }
 
-  /// Zero-copy bulk-synchronous all-to-all over a SendBufferPool: each
-  /// non-empty (lane, dest) shard moves through the board as its own
-  /// segment — no lane merge, no pack/unpack memcpy. Results land in
+  /// Bulk-synchronous all-to-all over a SendBufferPool: each non-empty
+  /// (lane, dest) shard moves through the board as its own segment, with
+  /// no lane merge and no copy. Results land in
   /// `pool.incoming()` in canonical order (source rank ascending, self
   /// in place, lane ascending within a source); the previous round's
   /// incoming buffers are recycled onto the pool's free list. Collective:
@@ -202,20 +208,6 @@ class RankCtx {
       }
     }
     collectives_.barrier();
-  }
-
-  /// Reference-path counterpart of exchange_pooled(): merges the pool's
-  /// lane shards into dense per-destination vectors (the pre-pool engine's
-  /// serial lane merge) and runs the byte-packing exchange(), then parks
-  /// the results in `pool.incoming()`. Exists so the pooled path has a
-  /// seed-faithful baseline to be verified and benchmarked against.
-  template <typename T>
-  void exchange_merged(SendBufferPool<T>& pool, PhaseKind kind) {
-    std::vector<std::vector<T>> in = exchange(pool.merged(), kind);
-    pool.clear_incoming();
-    for (rank_t s = 0; s < num_ranks(); ++s) {
-      pool.push_incoming(s, std::move(in[s]));
-    }
   }
 
  private:

@@ -11,8 +11,6 @@ std::string slot_name(rank_t source, rank_t dest) {
 
 }  // namespace
 
-static_assert(std::is_trivially_copyable_v<std::byte>);
-
 void ExchangeBoard::check_ranks(const char* op, rank_t source,
                                 rank_t dest) const {
   if (source >= num_ranks_ || dest >= num_ranks_) {

@@ -6,24 +6,23 @@
 // lock-free SPI usage.
 //
 // Payloads move through the board zero-copy: a slot holds a list of
-// ErasedBuffer segments, each a moved-in std::vector<T> (the sender's lane
-// shards, posted without merging), and take_segments() moves them back out.
-// No pack/unpack memcpy happens on this path. The byte-oriented post()/
-// take() + pack()/unpack() API is kept for payloads that genuinely need
-// serialization framing and for existing callers; it rides on the same
-// slots as a single byte segment.
+// ErasedBuffer segments, each a moved-in std::vector<T>, and
+// take_segments() moves them back out. This is the board's only transport:
+// RankCtx::exchange_pooled posts a rank's lane shards as one segment each,
+// and RankCtx::exchange posts each destination's vector as one segment.
 //
 // That safety argument is a *protocol*, not a property of the data
 // structure, so in checked mode (see runtime/protocol_check.hpp) the board
 // validates it with a per-slot epoch state machine:
 //
-//   posted == taken   : slot empty, the only state in which post() is legal
-//   posted == taken+1 : slot holds one round's payload, take() is legal
+//   posted == taken   : slot empty, the only state in which a post is legal
+//   posted == taken+1 : slot holds one round's payload, a take is legal
 //
-// post() advances `posted`, take() advances `taken`. Any other transition
-// is a protocol violation: a second post before the payload was consumed
-// (double post / cross-round leakage), a take of an empty slot (take before
-// the exchange barrier, or of a stale epoch), or out-of-range ranks. The
+// post_segments() advances `posted`, take_segments() advances `taken`. Any
+// other transition is a protocol violation: a second post before the
+// payload was consumed (double post / cross-round leakage), a take of an
+// empty slot (take before the exchange barrier, or of a stale epoch), or
+// out-of-range ranks. The
 // caller may additionally pass its own 1-based round number; a mismatch
 // against the slot epoch catches ranks whose exchange() calls have diverged
 // (a rank skipping or repeating a collective round). Taking a segment as
@@ -36,9 +35,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <memory>
-#include <span>
 #include <string>
 #include <typeinfo>
 #include <utility>
@@ -142,50 +139,6 @@ class ExchangeBoard {
                                           std::uint64_t round = kAnyRound) {
     if (checked_) check_take(source, dest, round);
     return std::exchange(slots_[index(source, dest)], {});
-  }
-
-  /// Byte-oriented compatibility API: one byte segment per round.
-  void post(rank_t source, rank_t dest, std::vector<std::byte> data,
-            std::uint64_t round = kAnyRound) {
-    std::vector<ErasedBuffer> segments;
-    segments.push_back(ErasedBuffer(std::move(data)));
-    post_segments(source, dest, std::move(segments), round);
-  }
-
-  /// Takes the bytes `source` sent to `dest` via post(). On an unchecked
-  /// board an un-posted slot yields an empty vector (as before).
-  std::vector<std::byte> take(rank_t source, rank_t dest,
-                              std::uint64_t round = kAnyRound) {
-    std::vector<ErasedBuffer> segments = take_segments(source, dest, round);
-    if (segments.empty()) return {};
-    return segments.front().take_as<std::byte>();
-  }
-
-  /// Serialization helpers for trivially copyable message types.
-  template <typename T>
-  static std::vector<std::byte> pack(std::span<const T> items) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    std::vector<std::byte> bytes(items.size_bytes());
-    if (!items.empty()) {
-      std::memcpy(bytes.data(), items.data(), items.size_bytes());
-    }
-    return bytes;
-  }
-
-  template <typename T>
-  static std::vector<T> unpack(const std::vector<std::byte>& bytes) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    const std::size_t n = bytes.size() / sizeof(T);
-    std::vector<T> items;
-    if (n != 0) {
-      // Pointer-range insert so libstdc++/libc++ lower the copy to one
-      // memmove — no value-initialization pass over the destination first
-      // (the old `vector<T> items(n)` zeroed every element before memcpy).
-      items.reserve(n);
-      const T* first = reinterpret_cast<const T*>(bytes.data());
-      items.insert(items.end(), first, first + n);
-    }
-    return items;
   }
 
  private:

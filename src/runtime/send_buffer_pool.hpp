@@ -1,17 +1,15 @@
 // Pooled send/receive buffers for the relax data path.
 //
-// The engines used to build `vector<vector<vector<Msg>>>` (lane x dest)
-// from scratch every phase, merge the lane shards serially on the rank
-// thread, and round-trip each message through two memcpys in
-// ExchangeBoard::pack/unpack. SendBufferPool replaces all of that:
+// Every engine emits, exchanges and applies its relax traffic through one
+// SendBufferPool per message type:
 //
 //   * shards: one message vector per (lane, destination rank), cache-line
 //     padded per lane so concurrent push_backs from worker lanes never
 //     share a line. begin_phase() clears sizes but keeps capacity, so a
 //     bucket's phases stop allocating once the high-water mark is reached.
 //   * zero-copy exchange (RankCtx::exchange_pooled): shards are moved into
-//     the board as independent segments — no lane merge, no pack/unpack —
-//     and land here as `incoming()` batches tagged with their source rank.
+//     the board as independent segments — no lane merge, no copy — and
+//     land here as `incoming()` batches tagged with their source rank.
 //   * recycling: begin_phase() moves applied incoming buffers onto a free
 //     list and re-seats empty shards from it, so vector capacity circulates
 //     sender -> board -> receiver -> receiver's own shards across phases,
@@ -20,11 +18,10 @@
 // The pool is rank-thread-owned state, like the TrafficCounters it feeds:
 // worker lanes may only touch their own lane's shards (during emission) or
 // the disjoint slices an apply partition assigns them. Canonical message
-// order — the order the pre-pool engine applied messages in — is source
-// rank ascending (self included in place), lane ascending within a source,
-// push order within a shard. exchange_pooled preserves it by posting and
-// taking segments in exactly that order, which is what lets the pooled
-// path reproduce the reference path bit for bit.
+// order is source rank ascending (self included in place), lane ascending
+// within a source, push order within a shard. exchange_pooled preserves it
+// by posting and taking segments in exactly that order, so apply order
+// (and with it equal-distance parent tie-breaks) is deterministic.
 //
 // SenderReducer implements sender-side reduction (see docs/PERFORMANCE.md):
 // within one destination's canonical stream it keeps only the messages
@@ -99,7 +96,7 @@ class SendBufferPool {
     return n;
   }
 
-  // -- incoming side (filled by RankCtx::exchange_pooled/_merged) ---------
+  // -- incoming side (filled by RankCtx::exchange_pooled) -----------------
 
   /// Received batches, in canonical order: source rank ascending, lane
   /// ascending within a source. Parallel to incoming_sources().
@@ -119,43 +116,6 @@ class SendBufferPool {
   void push_incoming(rank_t source, std::vector<T> batch) {
     incoming_.push_back(std::move(batch));
     incoming_sources_.push_back(source);
-  }
-
-  /// Drops all pooled capacity (shards, free list, incoming). The pool
-  /// keeps its geometry.
-  void release() {
-    for (auto& lane : lanes_) {
-      for (auto& shard : lane.value) {
-        shard = std::vector<T>();
-      }
-    }
-    free_.clear();
-    incoming_.clear();
-    incoming_sources_.clear();
-  }
-
-  /// Buffers currently parked on the free list (observability for tests).
-  std::size_t free_buffers() const { return free_.size(); }
-
-  /// Merges the lane shards into one dense per-destination table, in
-  /// canonical lane order — the exact structure (and allocation behavior)
-  /// of the pre-pool engines. This is the reference data path's sender
-  /// side; it intentionally forfeits pooling so the pooled path can be
-  /// benchmarked against it.
-  std::vector<std::vector<T>> merged() {
-    std::vector<std::vector<T>> out(ranks_);
-    if (!lanes_.empty()) {
-      out = std::move(lanes_[0].value);
-      lanes_[0].value.assign(ranks_, {});
-      for (std::size_t l = 1; l < lanes_.size(); ++l) {
-        for (rank_t d = 0; d < ranks_; ++d) {
-          std::vector<T>& shard = lanes_[l].value[d];
-          out[d].insert(out[d].end(), shard.begin(), shard.end());
-          shard.clear();
-        }
-      }
-    }
-    return out;
   }
 
  private:

@@ -45,9 +45,6 @@ std::string options_signature(const SsspOptions& options) {
       << ";rk=" << options.radius_k
       << ";parents=" << options.track_parents
       << ";canon=" << options.canonical_parents
-      << ";dp=" << static_cast<int>(options.data_path)
-      << ";sred=" << options.sender_reduction
-      << ";papply=" << options.parallel_apply
       << ";phasedet=" << options.collect_phase_details
       << ";bucketdet=" << options.collect_bucket_details
       << ";cm=" << canonical(options.cost_model.t_step_ns, "t_step_ns") << ','

@@ -43,16 +43,13 @@ SsspResult DynamicSolver::solve(vid_t root, const SsspOptions& options) {
   check_options("DynamicSolver::solve", options);
   ensure_views(options.delta);
 
-  const vid_t n = graph_.num_vertices();
+  // Parents are always canonical on the dynamic path (see header):
+  // repair()'s suspect detection and dirty-region re-parenting both assume
+  // it. run_engine canonicalizes over the views, which hold the logical
+  // graph's adjacency.
+  SsspOptions fresh = options;
+  fresh.canonical_parents = true;
   SsspResult result;
-  result.dist.assign(n, kInfDist);
-  if (options.track_parents) result.parent.assign(n, kInvalidVid);
-
-  // A fresh solve is the degenerate seeded sweep: nothing preset, one seed
-  // relaxing the root to 0. Identical distances to Solver::solve of the
-  // materialized graph (distances are option- and schedule-independent).
-  const std::vector<char> settled(n, 0);
-  const std::vector<RelaxMsg> seeds{RelaxMsg{root, 0, root}};
   run_engine(session_,
              {.graph = &graph_.base(),
               .part = part_,
@@ -61,20 +58,8 @@ SsspResult DynamicSolver::solve(vid_t root, const SsspOptions& options) {
               .parent = options.track_parents ? &result.parent : nullptr,
               .root = root,
               .stats = &result.stats,
-              .max_weight = graph_.max_weight(),
-              .settled_init = &settled,
-              .seeds = &seeds},
-             options);
-
-  if (options.track_parents) {
-    // Always canonical on the dynamic path (see header): repair()'s
-    // suspect detection and dirty-region re-parenting both assume it.
-    for (vid_t v = 0; v < n; ++v) {
-      result.parent[v] = canonical_parent_of(
-          v, root, result.dist,
-          [&](auto&& fn) { graph_.for_each_arc(v, fn); });
-    }
-  }
+              .max_weight = graph_.max_weight()},
+             fresh);
   return result;
 }
 

@@ -3,14 +3,18 @@
 // Owns the mutable graph, a persistent MachineSession and the per-rank edge
 // views, and keeps the three consistent across mutations:
 //
-//   solve()   fresh SSSP of the current graph (canonical parents whenever
-//             parents are tracked — the contract repair() builds on),
+//   solve()   fresh SSSP of the current graph on the engine options.algo
+//             names (canonical parents whenever parents are tracked — the
+//             contract repair() builds on),
 //   apply()   mutates the graph and splices the batch into the cached
 //             views (per-vertex patches; full rebuild after a compaction),
 //   repair()  incremental SSSP: plans the invalidation/seed set from a
 //             prior result (obs span `repair_frontier`), runs the seeded
 //             sweep only when something can improve (`repair_sweep`), and
 //             re-derives canonical parents for exactly the dirty region.
+//             The sweep is always the seeded bucket-synchronous engine,
+//             whatever options.algo names; its distances and canonical
+//             parents still equal solve()'s, which are exact.
 //
 // Bit-identity contract: repair(root, prior, batches, options) equals
 // solve(root, options) on the mutated graph, bit for bit in dist and
@@ -47,8 +51,9 @@ class DynamicSolver {
   /// Takes the starting graph by value (it becomes the DynamicGraph base).
   DynamicSolver(CsrGraph base, DynamicSolverConfig config);
 
-  /// Fresh SSSP of the current graph. Parents, when tracked, are always
-  /// canonical (core/parent_canon.hpp). Throws std::out_of_range on a bad
+  /// Fresh SSSP of the current graph, run by the engine options.algo
+  /// names. Parents, when tracked, are always canonical
+  /// (core/parent_canon.hpp). Throws std::out_of_range on a bad
   /// root, std::invalid_argument on malformed options.
   SsspResult solve(vid_t root, const SsspOptions& options);
 
@@ -56,8 +61,10 @@ class DynamicSolver {
   /// the receipt to pass to repair(). Strong guarantee (DynamicGraph).
   AppliedBatch apply(const EdgeBatch& batch);
 
-  /// Incremental re-solve; see the bit-identity contract above. Requires
-  /// options.track_parents and a `prior` with full dist/parent vectors
+  /// Incremental re-solve; see the bit-identity contract above. Always
+  /// runs the seeded bucket-synchronous sweep (options.algo is not
+  /// consulted), so its stats describe that sweep, not the engine solve()
+  /// would use. Requires options.track_parents and a `prior` with full dist/parent vectors
   /// (throws std::invalid_argument otherwise).
   SsspResult repair(vid_t root, const SsspResult& prior,
                     std::span<const AppliedBatch> batches,

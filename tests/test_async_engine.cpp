@@ -101,30 +101,29 @@ CsrGraph rmat_graph() {
   return CsrGraph::from_edges(generate_rmat(cfg));
 }
 
-using Param = std::tuple<std::uint32_t /*delta*/, rank_t, DataPath>;
+using Param = std::tuple<std::uint32_t /*delta*/, rank_t, unsigned /*lanes*/>;
 
 class AsyncEngineProperty : public ::testing::TestWithParam<Param> {};
 
 TEST_P(AsyncEngineProperty, DistancesAndParentsBitIdenticalToOpt) {
-  const auto [delta, ranks, path] = GetParam();
+  const auto [delta, ranks, lanes] = GetParam();
   const std::vector<CsrGraph> graphs = {rmat_graph(),
                                         CsrGraph::from_edges(make_grid(12))};
   for (const CsrGraph& g : graphs) {
-    Solver solver(g, {.machine = {.num_ranks = ranks}});
+    Solver solver(g,
+                  {.machine = {.num_ranks = ranks, .lanes_per_rank = lanes}});
     for (const vid_t root : {vid_t{0}, vid_t{g.num_vertices() / 2}}) {
       SsspOptions sync = SsspOptions::opt(delta);
-      sync.data_path = path;
       sync.track_parents = true;
       sync.canonical_parents = true;
       SsspOptions async = SsspOptions::async_opt(delta);
-      async.data_path = path;
       async.track_parents = true;
 
       const SsspResult want = solver.solve(root, sync);
       const SsspResult got = solver.solve(root, async);
       ASSERT_EQ(got.dist, want.dist)
           << "delta=" << delta << " ranks=" << ranks
-          << " path=" << static_cast<int>(path) << " root=" << root;
+          << " lanes=" << lanes << " root=" << root;
       // Canonical parents are a pure function of graph + dist, so
       // bit-identical distances force bit-identical trees.
       ASSERT_EQ(got.parent, want.parent);
@@ -139,16 +138,14 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(4u, 25u, SsspOptions::kInfDelta),
                        ::testing::Values(rank_t{1}, rank_t{3}, rank_t{4},
                                          rank_t{8}),
-                       ::testing::Values(DataPath::kPooled,
-                                         DataPath::kReference)),
+                       ::testing::Values(1u, 2u)),
     [](const ::testing::TestParamInfo<Param>& tpi) {
       const auto delta = std::get<0>(tpi.param);
       return std::string("delta") +
              (delta == SsspOptions::kInfDelta ? "inf"
                                               : std::to_string(delta)) +
-             "_ranks" + std::to_string(std::get<1>(tpi.param)) +
-             (std::get<2>(tpi.param) == DataPath::kPooled ? "_pooled"
-                                                          : "_reference");
+             "_ranks" + std::to_string(std::get<1>(tpi.param)) + "_lanes" +
+             std::to_string(std::get<2>(tpi.param));
     });
 
 // --- Synchronization accounting -------------------------------------------

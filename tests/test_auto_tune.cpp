@@ -36,7 +36,7 @@ TEST(TunedConfig, ApplyOnlyTouchesEngineSelectionFields) {
   SsspOptions base = SsspOptions::opt(25);
   base.track_parents = true;
   base.canonical_parents = true;
-  base.data_path = DataPath::kReference;
+  base.collect_phase_details = true;
   base.cost_model.t_relax_ns = 99.0;
 
   const TunedConfig tc{SsspAlgo::kRho, 13, 777, 2};
@@ -48,7 +48,7 @@ TEST(TunedConfig, ApplyOnlyTouchesEngineSelectionFields) {
   // The client's fields survive the rewrite.
   EXPECT_TRUE(out.track_parents);
   EXPECT_TRUE(out.canonical_parents);
-  EXPECT_EQ(out.data_path, DataPath::kReference);
+  EXPECT_TRUE(out.collect_phase_details);
   EXPECT_EQ(out.cost_model.t_relax_ns, 99.0);
 }
 

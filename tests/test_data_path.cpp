@@ -1,18 +1,25 @@
-// Property suite for the relax data path: the pooled zero-copy path (with
-// sender-side reduction and lane-parallel apply) must produce bit-identical
-// distances AND parents to the reference path (per-phase nested vectors,
-// pack/unpack byte exchange, serial apply) under every algorithm variant,
-// bucket width, rank count and option toggle — including the batched
-// multi-root engine and BFS.
+// Property suite for the relax data path (pooled send buffers, zero-copy
+// segment exchange, sender-side reduction, serial apply at one lane and
+// lane-parallel apply at more): under every algorithm variant, bucket
+// width, rank count and lane count, the engines' distances equal the
+// sequential Dijkstra oracle, their canonical parents equal the canonical
+// tree of the oracle's distances, and their raw parents form a valid
+// shortest-path tree — including the batched multi-root engine and BFS.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <tuple>
 #include <vector>
 
 #include "core/bfs_engine.hpp"
+#include "core/parent_canon.hpp"
 #include "core/solver.hpp"
+#include "core/validate.hpp"
+#include "graph/edge_list.hpp"
 #include "graph/graph_algos.hpp"
 #include "graph/rmat.hpp"
+#include "seq/dijkstra.hpp"
 
 namespace parsssp {
 namespace {
@@ -62,21 +69,8 @@ SsspOptions algo_options(Algo a) {
   return {};
 }
 
-/// The full pooled feature set (also the library default, asserted below).
-SsspOptions pooled(SsspOptions o) {
-  o.data_path = DataPath::kPooled;
-  o.sender_reduction = true;
-  o.parallel_apply = true;
-  return o;
-}
-
-/// The seed-faithful baseline: nothing the tentpole added is active.
-SsspOptions reference(SsspOptions o) {
-  o.data_path = DataPath::kReference;
-  o.sender_reduction = false;
-  o.parallel_apply = false;
-  return o;
-}
+const Algo kAllAlgos[] = {Algo::kDijkstra, Algo::kBellmanFord, Algo::kDel25,
+                          Algo::kPrune25,  Algo::kOpt25,       Algo::kLbOpt25};
 
 CsrGraph test_graph(std::uint64_t seed, int scale = 8) {
   RmatConfig cfg;
@@ -86,182 +80,218 @@ CsrGraph test_graph(std::uint64_t seed, int scale = 8) {
   return CsrGraph::from_edges(generate_rmat(cfg));
 }
 
-void expect_identical(const SsspResult& a, const SsspResult& b,
-                      const char* what) {
-  EXPECT_EQ(a.dist, b.dist) << what << ": distances diverge";
-  EXPECT_EQ(a.parent, b.parent) << what << ": parents diverge";
-  // Relax counters are pinned pre-reduction, so the paths must agree on
-  // them too — reduction saves bytes, not algorithmic work accounting.
-  EXPECT_EQ(a.stats.total_relaxations(), b.stats.total_relaxations())
-      << what << ": relaxation counters diverge";
+/// Solves `root` twice, with raw and with canonical parents, and checks
+/// both against the oracle: dist == seq::dijkstra, raw parents form a
+/// valid shortest-path tree, canonical parents equal the canonical tree of
+/// the oracle's distances. Returns the raw-parent result.
+SsspResult expect_matches_oracle(Solver& solver, const CsrGraph& g,
+                                 vid_t root, SsspOptions options,
+                                 const std::string& what) {
+  const std::vector<dist_t> oracle = dijkstra_distances(g, root);
+  options.track_parents = true;
+  options.canonical_parents = false;
+  SsspResult raw = solver.solve(root, options);
+  EXPECT_EQ(raw.dist, oracle) << what << ": distances diverge from Dijkstra";
+  const ValidationReport tree =
+      check_parent_tree(g, root, raw.dist, raw.parent);
+  EXPECT_TRUE(tree.ok) << what << ": raw parents: " << tree.message;
+
+  options.canonical_parents = true;
+  const SsspResult canon = solver.solve(root, options);
+  std::vector<vid_t> want(g.num_vertices());
+  canonicalize_parents(g, root, oracle, want);
+  EXPECT_EQ(canon.dist, oracle) << what << ": canonical run distances";
+  EXPECT_EQ(canon.parent, want) << what << ": canonical parents diverge";
+  return raw;
 }
 
-using Param = std::tuple<std::uint64_t /*seed*/, Algo, rank_t>;
+using Param = std::tuple<std::uint64_t /*seed*/, Algo, rank_t, unsigned>;
 
-class DataPathProperty : public ::testing::TestWithParam<Param> {};
+class RelaxPathProperty : public ::testing::TestWithParam<Param> {};
 
-// The headline property: pooled+reduced+parallel vs reference, with parent
-// tracking on (parents are the sharpest detector of message-order drift:
-// any change in which equal-distance message arrives first flips them) and
-// two lanes per rank so the lane-parallel apply actually partitions.
-TEST_P(DataPathProperty, PooledBitIdenticalToReference) {
-  const auto [seed, algo, ranks] = GetParam();
+// The headline property, with parent tracking on (raw parents are the
+// sharpest detector of message-order bugs) at one lane (serial apply) and
+// two lanes (the lane-parallel apply actually partitions).
+TEST_P(RelaxPathProperty, MatchesSequentialOracle) {
+  const auto [seed, algo, ranks, lanes] = GetParam();
   const auto g = test_graph(seed);
-  SsspOptions base = algo_options(algo);
-  base.track_parents = true;
-  Solver solver(g, {.machine = {.num_ranks = ranks, .lanes_per_rank = 2}});
-  const auto roots = sample_roots(g, 2, seed);
-  for (const vid_t root : roots) {
-    const auto got = solver.solve(root, pooled(base));
-    const auto want = solver.solve(root, reference(base));
-    expect_identical(got, want, algo_name(algo));
+  Solver solver(g,
+                {.machine = {.num_ranks = ranks, .lanes_per_rank = lanes}});
+  for (const vid_t root : sample_roots(g, 2, seed)) {
+    expect_matches_oracle(solver, g, root, algo_options(algo),
+                          algo_name(algo));
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Sweep, DataPathProperty,
-    ::testing::Combine(
-        ::testing::Values(11ULL, 12ULL),
-        ::testing::Values(Algo::kDijkstra, Algo::kBellmanFord, Algo::kDel25,
-                          Algo::kPrune25, Algo::kOpt25, Algo::kLbOpt25),
-        ::testing::Values(rank_t{1}, rank_t{3}, rank_t{4})),
+    Sweep, RelaxPathProperty,
+    ::testing::Combine(::testing::Values(11ULL, 12ULL),
+                       ::testing::ValuesIn(kAllAlgos),
+                       ::testing::Values(rank_t{1}, rank_t{3}, rank_t{4}),
+                       ::testing::Values(1u, 2u)),
     [](const ::testing::TestParamInfo<Param>& tpi) {
       return "seed" + std::to_string(std::get<0>(tpi.param)) + "_" +
              algo_name(std::get<1>(tpi.param)) + "_ranks" +
-             std::to_string(std::get<2>(tpi.param));
+             std::to_string(std::get<2>(tpi.param)) + "_lanes" +
+             std::to_string(std::get<3>(tpi.param));
     });
 
 // Bucket widths stress different phase mixes (many short phases at small
 // Delta, long-phase dominated at large Delta, pull phases under prune).
-class DataPathDeltaSweep : public ::testing::TestWithParam<std::uint32_t> {};
+class RelaxPathDeltaSweep : public ::testing::TestWithParam<std::uint32_t> {};
 
-TEST_P(DataPathDeltaSweep, PooledBitIdenticalAcrossDeltas) {
+TEST_P(RelaxPathDeltaSweep, MatchesSequentialOracleAcrossDeltas) {
   const std::uint32_t delta = GetParam();
   const auto g = test_graph(21);
   Solver solver(g, {.machine = {.num_ranks = 4, .lanes_per_rank = 2}});
-  for (SsspOptions base :
+  for (const SsspOptions& base :
        {SsspOptions::prune(delta), SsspOptions::opt(delta)}) {
-    base.track_parents = true;
-    const auto got = solver.solve(0, pooled(base));
-    const auto want = solver.solve(0, reference(base));
-    expect_identical(got, want, "delta sweep");
+    expect_matches_oracle(solver, g, 0, base, "delta sweep");
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Deltas, DataPathDeltaSweep,
+INSTANTIATE_TEST_SUITE_P(Deltas, RelaxPathDeltaSweep,
                          ::testing::Values(1u, 5u, 25u, 256u, 10000u));
 
-// Each tentpole feature must be independently inert on results: pooling
-// without reduction, pooling without parallel apply, and the library
-// defaults (which are the full pooled set) all agree with the reference.
-TEST(DataPathToggles, EveryCombinationMatchesReference) {
+// Serial apply (one lane) and lane-parallel apply (two lanes) must agree
+// on the algorithmic work accounting: relax counters count emissions
+// before sender-side reduction, so neither the apply mode nor what the
+// reducer dropped may change them, phase by phase.
+TEST(RelaxPathLanes, SerialAndParallelApplyAgreeOnCounters) {
   const auto g = test_graph(31);
-  Solver solver(g, {.machine = {.num_ranks = 3, .lanes_per_rank = 2}});
-  SsspOptions base = SsspOptions::opt(25);
-  base.track_parents = true;
-  const auto want = solver.solve(5, reference(base));
-  for (const bool red : {false, true}) {
-    for (const bool par : {false, true}) {
-      SsspOptions o = base;
-      o.data_path = DataPath::kPooled;
-      o.sender_reduction = red;
-      o.parallel_apply = par;
-      const auto got = solver.solve(5, o);
-      expect_identical(got, want, red ? "reduction on" : "reduction off");
+  Solver serial(g, {.machine = {.num_ranks = 3, .lanes_per_rank = 1}});
+  Solver parallel(g, {.machine = {.num_ranks = 3, .lanes_per_rank = 2}});
+  for (const Algo algo : kAllAlgos) {
+    SsspOptions o = algo_options(algo);
+    o.collect_phase_details = true;
+    const SsspResult a = serial.solve(5, o);
+    const SsspResult b = parallel.solve(5, o);
+    const SsspStats& sa = a.stats;
+    const SsspStats& sb = b.stats;
+    EXPECT_EQ(a.dist, b.dist) << algo_name(algo);
+    EXPECT_EQ(sa.short_relaxations, sb.short_relaxations) << algo_name(algo);
+    EXPECT_EQ(sa.long_push_relaxations, sb.long_push_relaxations)
+        << algo_name(algo);
+    EXPECT_EQ(sa.pull_requests, sb.pull_requests) << algo_name(algo);
+    EXPECT_EQ(sa.pull_responses, sb.pull_responses) << algo_name(algo);
+    EXPECT_EQ(sa.bf_relaxations, sb.bf_relaxations) << algo_name(algo);
+    EXPECT_EQ(sa.phases, sb.phases) << algo_name(algo);
+    EXPECT_EQ(sa.buckets, sb.buckets) << algo_name(algo);
+    EXPECT_GT(sa.total_relaxations(), 0u) << algo_name(algo);
+    ASSERT_EQ(sa.phase_details.size(), sb.phase_details.size())
+        << algo_name(algo);
+    for (std::size_t i = 0; i < sa.phase_details.size(); ++i) {
+      EXPECT_EQ(sa.phase_details[i].bucket, sb.phase_details[i].bucket);
+      EXPECT_EQ(sa.phase_details[i].kind, sb.phase_details[i].kind);
+      EXPECT_EQ(sa.phase_details[i].relaxations,
+                sb.phase_details[i].relaxations)
+          << algo_name(algo) << " phase " << i;
     }
   }
-  // The defaults are the full pooled path — no hidden opt-out.
-  const SsspOptions defaults = [] {
-    SsspOptions o = SsspOptions::opt(25);
-    o.track_parents = true;
-    return o;
-  }();
-  EXPECT_EQ(defaults.data_path, DataPath::kPooled);
-  EXPECT_TRUE(defaults.sender_reduction);
-  EXPECT_TRUE(defaults.parallel_apply);
-  expect_identical(solver.solve(5, defaults), want, "defaults");
 }
 
 // Forced pull sequences route everything through the request/response path;
 // diagnostics collection disables long-push reduction (Fig 7 counts every
-// emitted relaxation receiver-side) — both must stay bit-identical.
-TEST(DataPathToggles, ForcedPullAndDiagnosticsMatchReference) {
+// emitted relaxation receiver-side) — both must still match the oracle.
+TEST(RelaxPathModes, ForcedPullAndDiagnosticsMatchOracle) {
   const auto g = test_graph(37);
-  Solver solver(g, {.machine = {.num_ranks = 4, .lanes_per_rank = 2}});
-  SsspOptions base = SsspOptions::prune(25);
-  base.track_parents = true;
-  base.prune_mode = PruneMode::kForcedSequence;
-  base.forced_pull.assign(64, true);
-  expect_identical(solver.solve(2, pooled(base)), solver.solve(2, reference(base)),
-                   "forced pull");
+  for (const unsigned lanes : {1u, 2u}) {
+    Solver solver(g, {.machine = {.num_ranks = 4, .lanes_per_rank = lanes}});
+    SsspOptions forced = SsspOptions::prune(25);
+    forced.prune_mode = PruneMode::kForcedSequence;
+    forced.forced_pull.assign(64, true);
+    const SsspResult pulled =
+        expect_matches_oracle(solver, g, 2, forced, "forced pull");
+    EXPECT_GT(pulled.stats.pull_requests, 0u);
 
-  SsspOptions diag = SsspOptions::opt(25);
-  diag.track_parents = true;
-  diag.collect_phase_details = true;
-  diag.collect_bucket_details = true;
-  const auto got = solver.solve(2, pooled(diag));
-  const auto want = solver.solve(2, reference(diag));
-  expect_identical(got, want, "diagnostics");
-  ASSERT_EQ(got.stats.phase_details.size(), want.stats.phase_details.size());
-  for (std::size_t i = 0; i < got.stats.phase_details.size(); ++i) {
-    EXPECT_EQ(got.stats.phase_details[i].relaxations,
-              want.stats.phase_details[i].relaxations)
-        << "phase " << i;
+    SsspOptions diag = SsspOptions::opt(25);
+    diag.collect_phase_details = true;
+    diag.collect_bucket_details = true;
+    const SsspResult r = expect_matches_oracle(solver, g, 2, diag, "diag");
+    EXPECT_FALSE(r.stats.phase_details.empty());
+    EXPECT_FALSE(r.stats.bucket_details.empty());
   }
 }
 
 // The batched multi-root engine rides the same pooled path; every root's
-// distance vector must match the reference run's.
-TEST(DataPathMultiRoot, SolveMultiBitIdentical) {
+// distance vector must match the oracle.
+TEST(RelaxPathMultiRoot, SolveMultiMatchesOracle) {
   const auto g = test_graph(41);
-  Solver solver(g, {.machine = {.num_ranks = 3, .lanes_per_rank = 2}});
   const std::vector<vid_t> roots = {0, 7, 7, 19, 3};
-  SsspOptions base = SsspOptions::opt(25);
-  const auto got = solver.solve_multi(roots, pooled(base));
-  const auto want = solver.solve_multi(roots, reference(base));
-  ASSERT_EQ(got.dist.size(), want.dist.size());
-  for (std::size_t i = 0; i < got.dist.size(); ++i) {
-    EXPECT_EQ(got.dist[i], want.dist[i]) << "root index " << i;
+  for (const unsigned lanes : {1u, 2u}) {
+    Solver solver(g, {.machine = {.num_ranks = 3, .lanes_per_rank = lanes}});
+    const auto got = solver.solve_multi(roots, SsspOptions::opt(25));
+    ASSERT_EQ(got.dist.size(), roots.size());
+    for (std::size_t i = 0; i < roots.size(); ++i) {
+      EXPECT_EQ(got.dist[i], dijkstra_distances(g, roots[i]))
+          << "root index " << i << " lanes=" << lanes;
+    }
   }
 }
 
-// BFS: levels and parents identical under both data paths, with and
-// without direction optimization (bottom-up steps exchange bitmaps through
-// the pool too).
-TEST(DataPathBfs, LevelsAndParentsBitIdentical) {
+// BFS: levels equal the sequential BFS and every parent is a neighbour one
+// level up, with and without direction optimization (bottom-up steps
+// exchange bitmaps through the pool too).
+TEST(RelaxPathBfs, LevelsAndParentsMatchOracle) {
   const auto g = test_graph(47);
+  const vid_t root = 1;
+  const std::vector<dist_t> oracle = bfs_levels(g, root);
   BfsSolver bfs(g, {.num_ranks = 4});
   for (const bool dirs : {true, false}) {
-    BfsOptions p;
-    p.direction_optimize = dirs;
-    p.track_parents = true;
-    BfsOptions r = p;
-    r.data_path = DataPath::kReference;
-    r.sender_reduction = false;
-    const auto got = bfs.solve(1, p);
-    const auto want = bfs.solve(1, r);
-    EXPECT_EQ(got.level, want.level) << "direction_optimize=" << dirs;
-    EXPECT_EQ(got.parent, want.parent) << "direction_optimize=" << dirs;
-    EXPECT_EQ(got.stats.levels, want.stats.levels);
+    BfsOptions o;
+    o.direction_optimize = dirs;
+    o.track_parents = true;
+    const auto got = bfs.solve(root, o);
+    EXPECT_EQ(got.level, oracle) << "direction_optimize=" << dirs;
+    ASSERT_EQ(got.parent.size(), g.num_vertices());
+    EXPECT_EQ(got.parent[root], root);
+    for (vid_t v = 0; v < g.num_vertices(); ++v) {
+      if (v == root) continue;
+      const vid_t p = got.parent[v];
+      if (oracle[v] == kInfDist) {
+        EXPECT_EQ(p, kInvalidVid) << "v=" << v;
+        continue;
+      }
+      ASSERT_LT(p, g.num_vertices()) << "v=" << v;
+      EXPECT_EQ(oracle[p] + 1, oracle[v]) << "v=" << v;
+      const auto arcs = g.neighbors(v);
+      EXPECT_TRUE(std::any_of(arcs.begin(), arcs.end(),
+                              [p](const Arc& a) { return a.to == p; }))
+          << "parent of " << v << " is not a neighbour";
+    }
   }
 }
 
-// Sender-side reduction must actually shrink the wire: on an RMAT graph
-// (hub-heavy, lots of same-destination relaxations per phase) the pooled
-// path with reduction moves strictly fewer bytes than the reference path,
-// while the algorithmic relax counters stay equal.
-TEST(DataPathTraffic, ReductionShrinksWireBytes) {
-  const auto g = test_graph(53, /*scale=*/9);
-  Solver solver(g, {.machine = {.num_ranks = 4}});
-  const SsspOptions base = SsspOptions::del(25);
-  const auto got = solver.solve(0, pooled(base));
-  const std::uint64_t pooled_bytes =
-      solver.machine().traffic().merged().total_bytes();
-  const auto want = solver.solve(0, reference(base));
-  const std::uint64_t reference_bytes =
-      solver.machine().traffic().merged().total_bytes();
-  expect_identical(got, want, "traffic");
-  EXPECT_LT(pooled_bytes, reference_bytes);
+// Sender-side reduction must actually shrink the wire. On a complete
+// bipartite graph split across two ranks every relaxation crosses the
+// wire, so without reduction the relax messages on the wire would equal
+// the relaxations; one side's frontier relaxes every vertex of the other
+// side many times over in one phase, so the reduced stream is smaller.
+TEST(RelaxPathTraffic, WireMessagesFewerThanRelaxations) {
+  constexpr vid_t kSide = 24;
+  EdgeList edges(2 * kSide);
+  for (vid_t u = 0; u < kSide; ++u) {
+    for (vid_t v = kSide; v < 2 * kSide; ++v) edges.add_edge(u, v, 10);
+  }
+  const CsrGraph g = CsrGraph::from_edges(edges);
+  Solver solver(g, {.machine = {.num_ranks = 2}});
+  for (const SsspOptions& o :
+       {SsspOptions::del(25), SsspOptions::bellman_ford()}) {
+    const SsspResult r = solver.solve(0, o);
+    EXPECT_EQ(r.dist, dijkstra_distances(g, 0));
+    const TrafficCounters t = solver.machine().traffic().merged();
+    auto wire = [&t](PhaseKind k) {
+      return t.messages[static_cast<std::size_t>(k)];
+    };
+    const std::uint64_t wire_relax = wire(PhaseKind::kShortPhase) +
+                                     wire(PhaseKind::kLongPush) +
+                                     wire(PhaseKind::kBellmanFord);
+    const std::uint64_t relaxations = r.stats.short_relaxations +
+                                      r.stats.long_push_relaxations +
+                                      r.stats.bf_relaxations;
+    EXPECT_GT(wire_relax, 0u);
+    EXPECT_LT(wire_relax, relaxations);
+  }
 }
 
 }  // namespace

@@ -16,67 +16,76 @@
 namespace parsssp {
 namespace {
 
-std::vector<std::byte> payload(int value) {
-  const std::vector<int> items{value};
-  return ExchangeBoard::pack(std::span<const int>(items));
+/// One round's payload for a slot: a single int segment.
+std::vector<ErasedBuffer> payload(int value) {
+  std::vector<ErasedBuffer> segments;
+  segments.push_back(ErasedBuffer(std::vector<int>{value}));
+  return segments;
+}
+
+/// The int a slot's round payload carried.
+int value_of(std::vector<ErasedBuffer> segments) {
+  EXPECT_EQ(segments.size(), 1u);
+  return segments.at(0).take_as<int>().at(0);
 }
 
 TEST(ExchangeProtocol, DoublePostCaught) {
   ExchangeBoard board(2, /*checked=*/true);
-  board.post(0, 1, payload(1));
-  EXPECT_THROW(board.post(0, 1, payload(2)), ProtocolError);
+  board.post_segments(0, 1, payload(1));
+  EXPECT_THROW(board.post_segments(0, 1, payload(2)), ProtocolError);
 }
 
 TEST(ExchangeProtocol, TakeBeforePostCaught) {
   ExchangeBoard board(2, /*checked=*/true);
-  EXPECT_THROW(board.take(0, 1), ProtocolError);
+  EXPECT_THROW(board.take_segments(0, 1), ProtocolError);
 }
 
 TEST(ExchangeProtocol, DoubleTakeCaught) {
   ExchangeBoard board(2, /*checked=*/true);
-  board.post(0, 1, payload(7));
-  board.take(0, 1);
-  EXPECT_THROW(board.take(0, 1), ProtocolError);
+  board.post_segments(0, 1, payload(7));
+  board.take_segments(0, 1);
+  EXPECT_THROW(board.take_segments(0, 1), ProtocolError);
 }
 
 TEST(ExchangeProtocol, StaleEpochTakeCaught) {
   ExchangeBoard board(2, /*checked=*/true);
-  board.post(0, 1, payload(7), /*round=*/1);
+  board.post_segments(0, 1, payload(7), /*round=*/1);
   // The receiver believes it is in round 2 but the payload is round 1's:
   // some rank skipped an exchange. Caught as a stale-epoch take.
-  EXPECT_THROW(board.take(0, 1, /*round=*/2), ProtocolError);
+  EXPECT_THROW(board.take_segments(0, 1, /*round=*/2), ProtocolError);
 }
 
 TEST(ExchangeProtocol, CrossRoundPostCaught) {
   ExchangeBoard board(2, /*checked=*/true);
   // Posting round 5 into a slot whose epoch is 0: the poster ran exchange
   // rounds its peers never saw.
-  EXPECT_THROW(board.post(0, 1, payload(1), /*round=*/5), ProtocolError);
+  EXPECT_THROW(board.post_segments(0, 1, payload(1), /*round=*/5),
+               ProtocolError);
 }
 
 TEST(ExchangeProtocol, OutOfRangeRanksCaught) {
   ExchangeBoard board(2, /*checked=*/true);
-  EXPECT_THROW(board.post(2, 0, payload(1)), ProtocolError);
-  EXPECT_THROW(board.post(0, 9, payload(1)), ProtocolError);
-  EXPECT_THROW(board.take(7, 0), ProtocolError);
+  EXPECT_THROW(board.post_segments(2, 0, payload(1)), ProtocolError);
+  EXPECT_THROW(board.post_segments(0, 9, payload(1)), ProtocolError);
+  EXPECT_THROW(board.take_segments(7, 0), ProtocolError);
 }
 
 TEST(ExchangeProtocol, UncheckedBoardDoesNotEnforce) {
   ExchangeBoard board(2, /*checked=*/false);
-  board.post(0, 1, payload(1));
-  EXPECT_NO_THROW(board.post(0, 1, payload(2)));  // last write wins
-  board.take(0, 1);
-  EXPECT_TRUE(board.take(0, 1).empty());  // double take just sees empty
+  board.post_segments(0, 1, payload(1));
+  EXPECT_NO_THROW(board.post_segments(0, 1, payload(2)));
+  EXPECT_EQ(value_of(board.take_segments(0, 1)), 2);  // last write wins
+  EXPECT_TRUE(board.take_segments(0, 1).empty());  // double take sees empty
 }
 
 TEST(ExchangeProtocol, CorrectRoundsPassChecks) {
   ExchangeBoard board(2, /*checked=*/true);
   for (std::uint64_t round = 1; round <= 10; ++round) {
-    board.post(0, 1, payload(static_cast<int>(round)), round);
-    board.post(1, 0, payload(-static_cast<int>(round)), round);
-    EXPECT_EQ(ExchangeBoard::unpack<int>(board.take(0, 1, round)).at(0),
+    board.post_segments(0, 1, payload(static_cast<int>(round)), round);
+    board.post_segments(1, 0, payload(-static_cast<int>(round)), round);
+    EXPECT_EQ(value_of(board.take_segments(0, 1, round)),
               static_cast<int>(round));
-    EXPECT_EQ(ExchangeBoard::unpack<int>(board.take(1, 0, round)).at(0),
+    EXPECT_EQ(value_of(board.take_segments(1, 0, round)),
               -static_cast<int>(round));
   }
 }

@@ -5,19 +5,20 @@
 namespace parsssp {
 namespace {
 
-TEST(ExchangeBoard, PackUnpackRoundTrip) {
-  const std::vector<std::uint64_t> values{1, 2, 3, 0xffffffffffffULL};
-  const auto bytes =
-      ExchangeBoard::pack(std::span<const std::uint64_t>(values));
-  EXPECT_EQ(bytes.size(), values.size() * sizeof(std::uint64_t));
-  EXPECT_EQ(ExchangeBoard::unpack<std::uint64_t>(bytes), values);
+/// Wraps one typed vector as a single-segment round payload.
+template <typename T>
+std::vector<ErasedBuffer> one_segment(std::vector<T> items) {
+  std::vector<ErasedBuffer> segments;
+  segments.push_back(ErasedBuffer(std::move(items)));
+  return segments;
 }
 
-TEST(ExchangeBoard, PackEmpty) {
-  const std::vector<int> empty;
-  const auto bytes = ExchangeBoard::pack(std::span<const int>(empty));
-  EXPECT_TRUE(bytes.empty());
-  EXPECT_TRUE(ExchangeBoard::unpack<int>(bytes).empty());
+/// Unwraps a single-segment round payload.
+template <typename T>
+std::vector<T> only_segment(std::vector<ErasedBuffer> segments) {
+  EXPECT_EQ(segments.size(), 1u);
+  if (segments.size() != 1) return {};
+  return segments[0].take_as<T>();
 }
 
 TEST(ExchangeBoard, PostTakeMovesData) {
@@ -25,20 +26,20 @@ TEST(ExchangeBoard, PostTakeMovesData) {
   // drained) is a protocol violation under MPS_CHECKED_EXCHANGE.
   ExchangeBoard board(3, /*checked=*/false);
   const std::vector<int> payload{7, 8, 9};
-  board.post(0, 2, ExchangeBoard::pack(std::span<const int>(payload)));
-  EXPECT_EQ(ExchangeBoard::unpack<int>(board.take(0, 2)), payload);
+  board.post_segments(0, 2, one_segment(payload));
+  EXPECT_EQ(only_segment<int>(board.take_segments(0, 2)), payload);
   // Slot is drained after take.
-  EXPECT_TRUE(board.take(0, 2).empty());
+  EXPECT_TRUE(board.take_segments(0, 2).empty());
 }
 
 TEST(ExchangeBoard, SlotsAreIndependent) {
   ExchangeBoard board(2);
   const std::vector<int> a{1};
   const std::vector<int> b{2};
-  board.post(0, 1, ExchangeBoard::pack(std::span<const int>(a)));
-  board.post(1, 0, ExchangeBoard::pack(std::span<const int>(b)));
-  EXPECT_EQ(ExchangeBoard::unpack<int>(board.take(0, 1)), a);
-  EXPECT_EQ(ExchangeBoard::unpack<int>(board.take(1, 0)), b);
+  board.post_segments(0, 1, one_segment(a));
+  board.post_segments(1, 0, one_segment(b));
+  EXPECT_EQ(only_segment<int>(board.take_segments(0, 1)), a);
+  EXPECT_EQ(only_segment<int>(board.take_segments(1, 0)), b);
 }
 
 TEST(ExchangeBoard, StructMessages) {
@@ -49,40 +50,14 @@ TEST(ExchangeBoard, StructMessages) {
   };
   ExchangeBoard board(2);
   const std::vector<Msg> msgs{{1, 10}, {2, 20}};
-  board.post(1, 0, ExchangeBoard::pack(std::span<const Msg>(msgs)));
-  EXPECT_EQ(ExchangeBoard::unpack<Msg>(board.take(1, 0)), msgs);
+  board.post_segments(1, 0, one_segment(msgs));
+  EXPECT_EQ(only_segment<Msg>(board.take_segments(1, 0)), msgs);
 }
 
-// unpack constructs elements directly from the wire bytes; it must not
-// value-initialize first and assign after (the seed's resize-then-memcpy
-// did, redundantly zeroing every element). The observable contract: exact
-// reconstruction for any length, including a non-multiple tail guard.
-TEST(ExchangeBoard, UnpackReconstructsWithoutZeroFill) {
-  struct Probe {
-    std::uint32_t a;
-    std::uint32_t b;
-    bool operator==(const Probe&) const = default;
-  };
-  std::vector<Probe> values;
-  for (std::uint32_t i = 0; i < 100; ++i) values.push_back({i, ~i});
-  const auto bytes = ExchangeBoard::pack(std::span<const Probe>(values));
-  EXPECT_EQ(ExchangeBoard::unpack<Probe>(bytes), values);
-  // One-element payload exercises the n != 0 path boundary.
-  const std::vector<Probe> one{{42, 7}};
-  EXPECT_EQ(ExchangeBoard::unpack<Probe>(
-                ExchangeBoard::pack(std::span<const Probe>(one))),
-            one);
-}
-
-// The typed segment path coexists with the legacy byte path on one board:
-// a byte post travels as a single std::byte segment and stays readable
-// through take(), while typed segments move through post/take_segments.
-TEST(ExchangeBoard, ByteAndSegmentPathsCoexist) {
+// A slot carries a list of segments, possibly of different lengths; the
+// receiver sees them in post order.
+TEST(ExchangeBoard, SegmentsKeepPostOrder) {
   ExchangeBoard board(2, /*checked=*/false);
-  const std::vector<int> payload{1, 2, 3};
-  board.post(0, 1, ExchangeBoard::pack(std::span<const int>(payload)));
-  EXPECT_EQ(ExchangeBoard::unpack<int>(board.take(0, 1)), payload);
-
   std::vector<ErasedBuffer> segments;
   segments.push_back(ErasedBuffer(std::vector<int>{4, 5}));
   segments.push_back(ErasedBuffer(std::vector<int>{6}));

@@ -169,6 +169,16 @@ TEST(Metrics, HistogramClampsOutOfRangeValues) {
   for (const double p : {0.5, 0.9, 0.99, 1.0}) {
     EXPECT_LE(s.percentile(p), 8.5) << "p" << 100 * p;
   }
+
+  // Every sample equals 15.5, high in the same bucket: no percentile may
+  // fall below the observed minimum either.
+  Histogram high(cfg);
+  for (int i = 0; i < 5; ++i) high.record(15.5);
+  const auto hs = high.snapshot();
+  EXPECT_EQ(hs.min, 15.5);
+  for (const double p : {0.5, 0.9, 0.99, 1.0}) {
+    EXPECT_EQ(hs.percentile(p), 15.5) << "p" << 100 * p;
+  }
 }
 
 // The cross-check the serving reports rely on: histogram percentiles must

@@ -47,11 +47,6 @@ const std::vector<FieldMutation>& mutations() {
       {"track_parents", [](SsspOptions& o) { o.track_parents = true; }},
       {"canonical_parents",
        [](SsspOptions& o) { o.canonical_parents = true; }},
-      {"data_path",
-       [](SsspOptions& o) { o.data_path = DataPath::kReference; }},
-      {"sender_reduction",
-       [](SsspOptions& o) { o.sender_reduction = false; }},
-      {"parallel_apply", [](SsspOptions& o) { o.parallel_apply = false; }},
       {"collect_phase_details",
        [](SsspOptions& o) { o.collect_phase_details = true; }},
       {"collect_bucket_details",

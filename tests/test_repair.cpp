@@ -1,6 +1,6 @@
 // Incremental repair vs fresh solve: the bit-identity contract, fuzzed
 // over random insert/delete/reweight batches, algorithm variants, bucket
-// widths, rank counts and data-path toggles (mirroring test_data_path.cpp),
+// widths, rank counts, lane counts and mode toggles,
 // plus targeted disconnect/reconnect and error-path cases.
 #include <gtest/gtest.h>
 
@@ -14,7 +14,9 @@
 
 #include "core/solver.hpp"
 #include "graph/edge_list.hpp"
+#include "graph/graph_algos.hpp"
 #include "graph/rmat.hpp"
+#include "seq/dijkstra.hpp"
 #include "update/dynamic_solver.hpp"
 
 namespace parsssp {
@@ -163,33 +165,33 @@ TEST_P(RepairDeltaSweep, BitIdenticalAcrossDeltas) {
 INSTANTIATE_TEST_SUITE_P(Deltas, RepairDeltaSweep,
                          ::testing::Values(1u, 5u, 25u, 256u, 10000u));
 
-// Data-path and mode toggles: the repair sweep rides the same engine as a
-// fresh solve, so every toggle must stay result-inert here too.
-TEST(RepairToggles, ReferencePathLanesAndForcedPullMatch) {
+// Lane counts and mode toggles: the repair sweep rides the same engine as
+// a fresh solve (serial apply at one lane, lane-parallel apply at two), so
+// every toggle must stay result-inert here too.
+TEST(RepairToggles, LanesAndForcedPullMatch) {
   std::mt19937_64 rng(81);
   std::vector<SsspOptions> variants;
   {
-    SsspOptions reference = SsspOptions::opt(25);
-    reference.data_path = DataPath::kReference;
-    reference.sender_reduction = false;
-    reference.parallel_apply = false;
-    variants.push_back(reference);
+    variants.push_back(SsspOptions::opt(25));
 
     SsspOptions forced = SsspOptions::prune(25);
     forced.prune_mode = PruneMode::kForcedSequence;
     forced.forced_pull.assign(64, true);
     variants.push_back(forced);
   }
-  for (SsspOptions options : variants) {
-    options.track_parents = true;
-    DynamicSolver solver(test_graph(83),
-                         {.machine = {.num_ranks = 3, .lanes_per_rank = 2}});
-    SsspResult prior = solver.solve(2, options);
-    const AppliedBatch applied =
-        solver.apply(random_batch(solver.graph(), rng, 8));
-    const std::span<const AppliedBatch> batches(&applied, 1);
-    const SsspResult repaired = solver.repair(2, prior, batches, options);
-    check_round(solver, 2, repaired, options, 3, "toggles");
+  for (const unsigned lanes : {1u, 2u}) {
+    for (SsspOptions options : variants) {
+      options.track_parents = true;
+      DynamicSolver solver(
+          test_graph(83),
+          {.machine = {.num_ranks = 3, .lanes_per_rank = lanes}, .graph = {}});
+      SsspResult prior = solver.solve(2, options);
+      const AppliedBatch applied =
+          solver.apply(random_batch(solver.graph(), rng, 8));
+      const std::span<const AppliedBatch> batches(&applied, 1);
+      const SsspResult repaired = solver.repair(2, prior, batches, options);
+      check_round(solver, 2, repaired, options, 3, "toggles");
+    }
   }
 }
 
@@ -266,6 +268,25 @@ TEST(RepairTargeted, NoOpBatchStillMatches) {
   const SsspResult repaired = solver.repair(0, prior, batches, options);
   EXPECT_FALSE(solver.last_repair_stats().swept);  // planner-only repair
   check_round(solver, 0, repaired, options, 2, "no-op batch");
+}
+
+// A fresh DynamicSolver::solve runs the engine options.algo names, exactly
+// like Solver::solve: one rank makes even the asynchronous engine's
+// speculative work count deterministic, so the stats must agree.
+TEST(DynamicSolve, HonorsTheRequestedEngine) {
+  const CsrGraph g = test_graph(95, /*scale=*/10);
+  DynamicSolver dynamic(g, {.machine = {.num_ranks = 1}, .graph = {}});
+  Solver fixed(g, {.machine = {.num_ranks = 1}});
+  SsspOptions options = SsspOptions::async_opt(25);
+  options.track_parents = true;
+  const vid_t root = sample_roots(g, 1, 95).at(0);
+  const SsspResult got = dynamic.solve(root, options);
+  const SsspResult want = fixed.solve(root, options);
+  EXPECT_EQ(got.dist, dijkstra_distances(g, root));
+  EXPECT_GT(got.stats.async_relaxations, 0u);
+  EXPECT_EQ(got.stats.async_relaxations, want.stats.async_relaxations);
+  EXPECT_EQ(got.stats.global_syncs(), want.stats.global_syncs());
+  EXPECT_EQ(got.parent, want.parent);  // both canonical
 }
 
 TEST(RepairErrors, RequiresParentsAndAWellFormedPrior) {

@@ -165,7 +165,7 @@ TEST(RuntimeRaces, CheckedProtocolUnderConcurrency) {
 // moves the buffers, and the lane-parallel apply writes disjoint vertex
 // ranges without atomics. Every piece of that contract is a potential race
 // TSan must see as clean — and the result must still match Dijkstra.
-TEST(RuntimeRaces, PooledDataPathConcurrentLanes) {
+TEST(RuntimeRaces, PooledRelaxPathConcurrentLanes) {
   RmatConfig cfg;
   cfg.scale = 9;
   cfg.edge_factor = 10;
@@ -176,8 +176,6 @@ TEST(RuntimeRaces, PooledDataPathConcurrentLanes) {
   Solver solver(g, {.machine = {.num_ranks = 4, .lanes_per_rank = 4}});
   SsspOptions opts = SsspOptions::opt(25);
   opts.track_parents = true;  // parents ride the same parallel apply
-  ASSERT_EQ(opts.data_path, DataPath::kPooled);
-  ASSERT_TRUE(opts.parallel_apply);
   for (int repeat = 0; repeat < 3; ++repeat) {
     const SsspResult res = solver.solve(0, opts);
     for (vid_t v = 0; v < ref.size(); ++v) ASSERT_EQ(res.dist[v], ref[v]);

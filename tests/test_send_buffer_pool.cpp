@@ -1,5 +1,5 @@
 // Unit tests for the pooled relax data path's building blocks: the
-// SendBufferPool (capacity recycling, canonical merge order), the
+// SendBufferPool (capacity recycling, canonical delivery order), the
 // SenderReducer (running-minimum no-op elimination), and the zero-copy
 // segment exchange through ExchangeBoard and RankCtx.
 #include <gtest/gtest.h>
@@ -49,36 +49,6 @@ TEST(SendBufferPool, IncomingBuffersRecycleIntoEmptyShards) {
   EXPECT_TRUE(pool.incoming().empty());
   EXPECT_TRUE(pool.incoming_sources().empty());
   (void)shipped;
-}
-
-TEST(SendBufferPool, MergedConcatenatesLaneShardsInLaneOrder) {
-  SendBufferPool<Msg> pool;
-  pool.configure(3, 2);
-  pool.shard(0, 1).push_back({10, 0});
-  pool.shard(1, 1).push_back({11, 0});
-  pool.shard(2, 1).push_back({12, 0});
-  pool.shard(1, 0).push_back({20, 0});
-  const auto merged = pool.merged();
-  ASSERT_EQ(merged.size(), 2u);
-  ASSERT_EQ(merged[1].size(), 3u);
-  EXPECT_EQ(merged[1][0].v, 10u);
-  EXPECT_EQ(merged[1][1].v, 11u);
-  EXPECT_EQ(merged[1][2].v, 12u);
-  ASSERT_EQ(merged[0].size(), 1u);
-  EXPECT_EQ(merged[0][0].v, 20u);
-}
-
-TEST(SendBufferPool, ReleaseDropsAllCapacity) {
-  SendBufferPool<Msg> pool;
-  pool.configure(1, 1);
-  pool.shard(0, 0).reserve(32);
-  std::vector<Msg> buf;
-  buf.reserve(16);
-  pool.push_incoming(0, std::move(buf));
-  pool.release();
-  EXPECT_EQ(pool.shard(0, 0).capacity(), 0u);
-  EXPECT_EQ(pool.free_buffers(), 0u);
-  EXPECT_TRUE(pool.incoming().empty());
 }
 
 // The reducer keeps exactly the running-minimum subsequence per key: every
@@ -168,17 +138,17 @@ TEST(ErasedBufferBoard, WrongElementTypeIsTypeConfusion) {
   EXPECT_THROW((void)got[0].take_as<std::uint64_t>(), ProtocolError);
 }
 
-// exchange_pooled delivers the same messages in the same canonical order
-// as the byte-packing exchange over the merged shards — source rank
-// ascending (self in place), lane order within a source.
-TEST(ExchangePooled, MatchesMergedExchangeOrder) {
+// exchange_pooled delivers every message in canonical order: source rank
+// ascending (self in place), lane ascending within a source, push order
+// within a shard.
+TEST(ExchangePooled, DeliversCanonicalOrder) {
   constexpr rank_t kRanks = 3;
   constexpr unsigned kLanes = 2;
   Machine machine({.num_ranks = kRanks, .lanes_per_rank = kLanes});
-  std::vector<std::vector<Msg>> pooled_in(kRanks);
-  std::vector<std::vector<Msg>> merged_in(kRanks);
-
-  auto fill = [](SendBufferPool<Msg>& pool, rank_t r) {
+  std::vector<std::vector<Msg>> got(kRanks);
+  machine.run([&](RankCtx& ctx) {
+    const rank_t r = ctx.rank();
+    SendBufferPool<Msg> pool;
     pool.configure(kLanes, kRanks);
     pool.begin_phase();
     for (unsigned l = 0; l < kLanes; ++l) {
@@ -188,27 +158,51 @@ TEST(ExchangePooled, MatchesMergedExchangeOrder) {
         }
       }
     }
-  };
-  auto flatten = [](SendBufferPool<Msg>& pool) {
-    std::vector<Msg> flat;
-    for (const auto& batch : pool.incoming()) {
-      flat.insert(flat.end(), batch.begin(), batch.end());
-    }
-    return flat;
-  };
-
-  machine.run([&](RankCtx& ctx) {
-    SendBufferPool<Msg> pool;
-    fill(pool, ctx.rank());
     ctx.exchange_pooled(pool, PhaseKind::kShortPhase);
-    pooled_in[ctx.rank()] = flatten(pool);
-    fill(pool, ctx.rank());
-    ctx.exchange_merged(pool, PhaseKind::kShortPhase);
-    merged_in[ctx.rank()] = flatten(pool);
+    for (const auto& batch : pool.incoming()) {
+      got[r].insert(got[r].end(), batch.begin(), batch.end());
+    }
   });
   for (rank_t r = 0; r < kRanks; ++r) {
-    EXPECT_EQ(pooled_in[r], merged_in[r]) << "rank " << r;
-    EXPECT_EQ(pooled_in[r].size(), kRanks * kLanes * 3u);
+    std::vector<Msg> want;
+    for (rank_t s = 0; s < kRanks; ++s) {
+      for (unsigned l = 0; l < kLanes; ++l) {
+        for (std::uint32_t i = 0; i < 3; ++i) {
+          want.push_back({s * 100u + l * 10u + i, r});
+        }
+      }
+    }
+    EXPECT_EQ(got[r], want) << "rank " << r;
+  }
+}
+
+// RankCtx::exchange rides the same segment transport: the buffer a rank
+// hands to exchange() for a peer is the very buffer the peer receives.
+TEST(RankCtxExchange, PeerReceivesTheSendersBuffer) {
+  constexpr rank_t kRanks = 3;
+  Machine machine({.num_ranks = kRanks});
+  // sent[s * kRanks + d]: data() rank s posted for d; received likewise.
+  std::vector<const Msg*> sent(kRanks * kRanks, nullptr);
+  std::vector<const Msg*> received(kRanks * kRanks, nullptr);
+  machine.run([&](RankCtx& ctx) {
+    const rank_t r = ctx.rank();
+    std::vector<std::vector<Msg>> out(kRanks);
+    for (rank_t d = 0; d < kRanks; ++d) {
+      out[d].assign(16, Msg{r, d});
+      sent[r * kRanks + d] = out[d].data();
+    }
+    const auto in = ctx.exchange(std::move(out), PhaseKind::kShortPhase);
+    for (rank_t s = 0; s < kRanks; ++s) {
+      ASSERT_EQ(in[s].size(), 16u);
+      EXPECT_EQ(in[s][0], (Msg{s, r}));
+      received[s * kRanks + r] = in[s].data();
+    }
+  });
+  for (rank_t s = 0; s < kRanks; ++s) {
+    for (rank_t d = 0; d < kRanks; ++d) {
+      EXPECT_EQ(received[s * kRanks + d], sent[s * kRanks + d])
+          << s << " -> " << d;
+    }
   }
 }
 

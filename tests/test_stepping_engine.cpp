@@ -63,31 +63,30 @@ std::string config_name(const SsspOptions& o) {
 
 // --- Bit-identity with the bucket-synchronous OPT engine ------------------
 
-using Param = std::tuple<rank_t, DataPath>;
+using Param = std::tuple<rank_t, unsigned /*lanes*/>;
 
 class SteppingEngineProperty : public ::testing::TestWithParam<Param> {};
 
 TEST_P(SteppingEngineProperty, DistancesAndParentsBitIdenticalToOpt) {
-  const auto [ranks, path] = GetParam();
+  const auto [ranks, lanes] = GetParam();
   const std::vector<CsrGraph> graphs = {rmat_graph(),
                                         CsrGraph::from_edges(make_grid(12))};
   for (const CsrGraph& g : graphs) {
-    Solver solver(g, {.machine = {.num_ranks = ranks}});
+    Solver solver(g,
+                  {.machine = {.num_ranks = ranks, .lanes_per_rank = lanes}});
     for (const vid_t root : {vid_t{0}, vid_t{g.num_vertices() / 2}}) {
       SsspOptions sync = SsspOptions::opt(25);
-      sync.data_path = path;
       sync.track_parents = true;
       sync.canonical_parents = true;
       const SsspResult want = solver.solve(root, sync);
       EXPECT_TRUE(validate_against_dijkstra(g, root, want.dist).ok);
 
       for (SsspOptions options : stepping_sweep()) {
-        options.data_path = path;
         options.track_parents = true;
         const SsspResult got = solver.solve(root, options);
         ASSERT_EQ(got.dist, want.dist)
             << config_name(options) << " ranks=" << ranks
-            << " path=" << static_cast<int>(path) << " root=" << root;
+            << " lanes=" << lanes << " root=" << root;
         // Stepping parents are always canonical, so bit-identical
         // distances force bit-identical trees.
         ASSERT_EQ(got.parent, want.parent) << config_name(options);
@@ -103,12 +102,10 @@ INSTANTIATE_TEST_SUITE_P(
     Sweep, SteppingEngineProperty,
     ::testing::Combine(::testing::Values(rank_t{1}, rank_t{3}, rank_t{4},
                                          rank_t{8}),
-                       ::testing::Values(DataPath::kPooled,
-                                         DataPath::kReference)),
+                       ::testing::Values(1u, 2u)),
     [](const ::testing::TestParamInfo<Param>& tpi) {
-      return "ranks" + std::to_string(std::get<0>(tpi.param)) +
-             (std::get<1>(tpi.param) == DataPath::kPooled ? "_pooled"
-                                                          : "_reference");
+      return "ranks" + std::to_string(std::get<0>(tpi.param)) + "_lanes" +
+             std::to_string(std::get<1>(tpi.param));
     });
 
 // --- Structure and accounting ---------------------------------------------
