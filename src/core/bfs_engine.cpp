@@ -136,17 +136,20 @@ BfsResult BfsSolver::solve(vid_t root, const BfsOptions& options) {
         out.edges_examined += emitted;
         // Keep-first dedup per destination vertex: a later message for an
         // already-messaged vertex can never win the level or the parent
-        // (the receiver keeps the first arrival), so dropping it is exact.
+        // (the receiver keeps the first arrival), so dropping it is exact
+        // (a constant value admits only the first). Keyed on destination-
+        // local ids, one stream per destination, so the table stays one
+        // block long.
         dedup.ensure(part_.block_size());
         for (rank_t d = 0; d < ranks; ++d) {
           const vid_t dest_begin = part_.begin(d);
-          dedup.begin_dest();
-          dedup.reduce(
-              msg_pool.shard(0, d),
-              [dest_begin](const BfsMsg& m) {
-                return static_cast<std::size_t>(m.v - dest_begin);
-              },
-              [](const BfsMsg&) { return static_cast<unsigned char>(0); });
+          std::vector<BfsMsg>& shard = msg_pool.shard(0, d);
+          dedup.begin_stream();
+          std::size_t kept = 0;
+          for (const BfsMsg& m : shard) {
+            if (dedup.admit(m.v - dest_begin, 0)) shard[kept++] = m;
+          }
+          shard.resize(kept);
         }
         const std::uint64_t posted = msg_pool.pending_messages();
         ctx.exchange_pooled(msg_pool, PhaseKind::kShortPhase);

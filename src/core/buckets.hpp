@@ -23,12 +23,15 @@ std::vector<vid_t> collect_bucket_members(std::span<const dist_t> dist_local,
 
 /// Smallest bucket index > `after` holding an unsettled vertex with a finite
 /// tentative distance; kInfBucket if none. Pass `after = kBeforeFirst` to
-/// search from bucket 0.
+/// search from bucket 0. When `members` is given, the same scan also
+/// leaves in it the locals of that bucket, ascending — exactly what
+/// collect_bucket_members would return for it.
 inline constexpr std::int64_t kBeforeFirst = -1;
 std::uint64_t min_unsettled_bucket_above(std::span<const dist_t> dist_local,
                                          std::span<const char> settled,
                                          std::int64_t after,
-                                         std::uint32_t delta);
+                                         std::uint32_t delta,
+                                         std::vector<vid_t>* members = nullptr);
 
 /// Locals of unsettled vertices with finite distance (the grouped bucket "B"
 /// the Bellman-Ford tail starts from after the hybrid switch).

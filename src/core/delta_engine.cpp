@@ -54,34 +54,42 @@ DeltaEngine::DeltaEngine(RankCtx& ctx, const EngineJob& job,
       view_((*job.views)[ctx.rank()]),
       begin_(job.part.begin(ctx.rank())),
       nloc_(job.part.count(ctx.rank())),
+      ws_(ctx.workspace<DeltaWorkspace>()),
       cost_(options.cost_model) {
   dist_ = std::span<dist_t>(job_.dist->data() + begin_, nloc_);
   if (job_.parent != nullptr) {
     parent_ = std::span<vid_t>(job_.parent->data() + begin_, nloc_);
   }
+  // The workspace keeps its capacity across solves; assign() and resize()
+  // below re-initialize without allocating once it is warm.
   seeded_ = job_.settled_init != nullptr;
   if (seeded_) {
     const char* preset = job_.settled_init->data() + begin_;
-    settled_.assign(preset, preset + nloc_);
-    preset_.assign(preset, preset + nloc_);
+    ws_.settled.assign(preset, preset + nloc_);
+    ws_.preset.assign(preset, preset + nloc_);
     settled_local_cum_ = static_cast<std::uint64_t>(
-        std::count(settled_.begin(), settled_.end(), char{1}));
+        std::count(ws_.settled.begin(), ws_.settled.end(), char{1}));
     if (job_.changed != nullptr) {
       changed_ = std::span<char>(job_.changed->data() + begin_, nloc_);
     }
   } else {
-    settled_.assign(nloc_, 0);
+    ws_.settled.assign(nloc_, 0);
   }
-  member_stamp_.assign(nloc_, kInfBucket);
-  in_frontier_.assign(nloc_, 0);
+  ws_.member_stamp.resize(nloc_, 0);  // below every epoch still to come
+  ws_.in_frontier.assign(nloc_, 0);
 
   const unsigned lanes = ctx_.pool().lanes();
-  relax_pool_.configure(lanes, ctx_.num_ranks());
-  req_pool_.configure(1, ctx_.num_ranks());
-  lane_emitted_.resize(lanes);
-  lane_load_.resize(lanes);
-  lane_inserts_.resize(lanes);
-  lane_unsettled_.resize(lanes);
+  ws_.relax_pool.configure(lanes, ctx_.num_ranks());
+  ws_.req_pool.configure(1, ctx_.num_ranks());
+  // One lane filters at emission, keyed on the global vertex id; more
+  // lanes filter each destination's stream before the exchange, keyed on
+  // its local ids, so the table stays one block long.
+  ws_.filter.ensure(lanes == 1 ? job_.part.num_vertices()
+                               : job_.part.block_size());
+  ws_.lane_emitted.resize(lanes);
+  ws_.lane_load.resize(lanes);
+  ws_.lane_inserts.resize(lanes);
+  ws_.lane_unsettled.resize(lanes);
 
   sync0_allreduces_ = ctx_.traffic().allreduces;
   sync0_barriers_ = ctx_.traffic().barriers;
@@ -111,55 +119,58 @@ DeltaEngine::StepReduce DeltaEngine::account_step(std::uint64_t work,
 
 std::uint64_t DeltaEngine::next_bucket(std::int64_t after) {
   TimedSection sw(counters_.wall_bucket_time_s, tlane_, SpanCat::kBucketScan);
-  const std::uint64_t local = min_unsettled_bucket_above(
-      dist_, settled_, after, opt_.delta);
+  // One scan finds the local minimum bucket and collects its members, so
+  // process_epoch needs no second pass over the slice.
+  local_min_bucket_ = min_unsettled_bucket_above(
+      dist_, ws_.settled, after, opt_.delta, &ws_.bucket_members);
   model_bkt_ns_ += cost_.scan_cost(job_.part.block_size());
-  return ctx_.allreduce(local, MinOp{});
+  return ctx_.allreduce(local_min_bucket_, MinOp{});
 }
 
-void DeltaEngine::begin_relax_emit() {
-  relax_pool_.begin_phase();
-  for (auto& e : lane_emitted_) e.value = 0;
+void DeltaEngine::begin_relax_emit(bool reduce) {
+  ws_.relax_pool.begin_phase();
+  filter_at_emit_ = reduce && ws_.relax_pool.lanes() == 1;
+  filter_at_exchange_ = reduce && ws_.relax_pool.lanes() > 1;
+  if (filter_at_emit_) ws_.filter.begin_stream();
+  for (auto& e : ws_.lane_emitted) e.value = 0;
 }
 
 std::pair<std::uint64_t, std::uint64_t> DeltaEngine::emit_totals() const {
   std::uint64_t emitted = 0;
   std::uint64_t max_lane = 0;
-  for (const auto& e : lane_emitted_) {
+  for (const auto& e : ws_.lane_emitted) {
     emitted += e.value;
     max_lane = std::max(max_lane, e.value);
   }
   return {emitted, max_lane};
 }
 
-std::uint64_t DeltaEngine::relax_exchange(PhaseKind kind,
-                                          bool allow_reduction) {
-  if (allow_reduction) {
-    const rank_t ranks = ctx_.num_ranks();
-    const unsigned lanes = relax_pool_.lanes();
-    reducer_.ensure(job_.part.block_size());
-    for (rank_t d = 0; d < ranks; ++d) {
+std::uint64_t DeltaEngine::relax_exchange(PhaseKind kind) {
+  if (filter_at_exchange_) {
+    // Lanes emitted concurrently, so a destination's canonical stream
+    // (lane ascending, push order) exists only now.
+    for (rank_t d = 0; d < ctx_.num_ranks(); ++d) {
       const vid_t dest_begin = job_.part.begin(d);
-      reducer_.begin_dest();
-      for (unsigned l = 0; l < lanes; ++l) {
-        reducer_.reduce(
-            relax_pool_.shard(l, d),
-            [dest_begin](const RelaxMsg& m) {
-              return static_cast<std::size_t>(m.v - dest_begin);
-            },
-            [](const RelaxMsg& m) { return m.nd; });
+      ws_.filter.begin_stream();
+      for (unsigned l = 0; l < ws_.relax_pool.lanes(); ++l) {
+        std::vector<RelaxMsg>& shard = ws_.relax_pool.shard(l, d);
+        std::size_t kept = 0;
+        for (const RelaxMsg& m : shard) {
+          if (ws_.filter.admit(m.v - dest_begin, m.nd)) shard[kept++] = m;
+        }
+        shard.resize(kept);
       }
     }
   }
-  const std::uint64_t posted = relax_pool_.pending_messages();
-  ctx_.exchange_pooled(relax_pool_, kind);
+  const std::uint64_t posted = ws_.relax_pool.pending_messages();
+  ctx_.exchange_pooled(ws_.relax_pool, kind);
   return posted;
 }
 
 std::uint64_t DeltaEngine::apply_incoming(std::uint64_t frontier_k,
                                           InsertMode mode) {
   std::uint64_t total = 0;
-  for (const auto& batch : relax_pool_.incoming()) total += batch.size();
+  for (const auto& batch : ws_.relax_pool.incoming()) total += batch.size();
   ScopedSpan span(tlane_, SpanCat::kApply, total);
   if (ctx_.pool().lanes() > 1 && total != 0) {
     apply_parallel(frontier_k, mode);
@@ -171,7 +182,7 @@ std::uint64_t DeltaEngine::apply_incoming(std::uint64_t frontier_k,
 
 void DeltaEngine::apply_serial(std::uint64_t frontier_k, InsertMode mode) {
   const std::uint32_t delta = opt_.delta;
-  for (const auto& batch : relax_pool_.incoming()) {
+  for (const auto& batch : ws_.relax_pool.incoming()) {
     for (const RelaxMsg& m : batch) {
       const vid_t local = to_local(m.v);
       assert(local < nloc_);
@@ -180,52 +191,52 @@ void DeltaEngine::apply_serial(std::uint64_t frontier_k, InsertMode mode) {
         // A preset-settled vertex only carried an upper bound; improving
         // it reopens it (unsettle-on-improve). Strict-< guarantees the
         // distance drops on every unsettle, so the sweep terminates.
-        if (settled_[local]) {
-          settled_[local] = 0;
-          preset_[local] = 0;
+        if (ws_.settled[local]) {
+          ws_.settled[local] = 0;
+          ws_.preset[local] = 0;
           --settled_local_cum_;
         }
       } else {
-        assert(!settled_[local] && "relaxation improved a settled vertex");
+        assert(!ws_.settled[local] && "relaxation improved a settled vertex");
       }
       dist_[local] = m.nd;
       if (!changed_.empty()) changed_[local] = 1;
       if (!parent_.empty()) parent_[local] = m.pred;
-      if (mode == InsertMode::kNone || in_frontier_[local]) continue;
+      if (mode == InsertMode::kNone || ws_.in_frontier[local]) continue;
       if (mode == InsertMode::kBucket &&
           bucket_of(m.nd, delta) != frontier_k) {
         continue;
       }
-      in_frontier_[local] = 1;
-      frontier_.push_back(local);
+      ws_.in_frontier[local] = 1;
+      ws_.frontier.push_back(local);
     }
   }
 }
 
 void DeltaEngine::apply_parallel(std::uint64_t frontier_k, InsertMode mode) {
   const std::uint32_t delta = opt_.delta;
-  const auto& batches = relax_pool_.incoming();
+  const auto& batches = ws_.relax_pool.incoming();
   const unsigned lanes = ctx_.pool().lanes();
 
   // Canonical index of each batch's first message, so lanes can tag their
   // frontier inserts with stream positions.
-  batch_offsets_.resize(batches.size());
+  ws_.batch_offsets.resize(batches.size());
   std::uint64_t offset = 0;
   for (std::size_t i = 0; i < batches.size(); ++i) {
-    batch_offsets_[i] = offset;
+    ws_.batch_offsets[i] = offset;
     offset += batches[i].size();
   }
 
-  // Each lane owns a contiguous destination-vertex range: dist_/parent_/
-  // in_frontier_ writes are disjoint by construction, no atomics needed
+  // Each lane owns a contiguous destination-vertex range: dist/parent/
+  // in_frontier writes are disjoint by construction, no atomics needed
   // (the shared-memory analogue of the paper's L2-atomic relaxation).
   const vid_t chunk = (nloc_ + lanes - 1) / lanes;
   ctx_.pool().run_on_lanes([&](unsigned lane) {
     const vid_t lo = std::min<vid_t>(nloc_, lane * chunk);
     const vid_t hi = std::min<vid_t>(nloc_, lo + chunk);
-    auto& inserts = lane_inserts_[lane].value;
+    auto& inserts = ws_.lane_inserts[lane].value;
     inserts.clear();
-    lane_unsettled_[lane].value = 0;
+    ws_.lane_unsettled[lane].value = 0;
     if (lo >= hi) return;
     for (std::size_t i = 0; i < batches.size(); ++i) {
       const auto& batch = batches[i];
@@ -236,33 +247,33 @@ void DeltaEngine::apply_parallel(std::uint64_t frontier_k, InsertMode mode) {
         if (local < lo || local >= hi) continue;
         if (m.nd >= dist_[local]) continue;
         if (seeded_) {
-          // Unsettle-on-improve, mirrored from apply_serial. settled_/
-          // preset_ writes stay inside this lane's vertex range; the
+          // Unsettle-on-improve, mirrored from apply_serial. settled/
+          // preset writes stay inside this lane's vertex range; the
           // settled count is summed from the per-lane counters below.
-          if (settled_[local]) {
-            settled_[local] = 0;
-            preset_[local] = 0;
-            ++lane_unsettled_[lane].value;
+          if (ws_.settled[local]) {
+            ws_.settled[local] = 0;
+            ws_.preset[local] = 0;
+            ++ws_.lane_unsettled[lane].value;
           }
         } else {
-          assert(!settled_[local] && "relaxation improved a settled vertex");
+          assert(!ws_.settled[local] && "relaxation improved a settled vertex");
         }
         dist_[local] = m.nd;
         if (!changed_.empty()) changed_[local] = 1;
         if (!parent_.empty()) parent_[local] = m.pred;
-        if (mode == InsertMode::kNone || in_frontier_[local]) continue;
+        if (mode == InsertMode::kNone || ws_.in_frontier[local]) continue;
         if (mode == InsertMode::kBucket &&
             bucket_of(m.nd, delta) != frontier_k) {
           continue;
         }
-        in_frontier_[local] = 1;
-        inserts.emplace_back(batch_offsets_[i] + j, local);
+        ws_.in_frontier[local] = 1;
+        inserts.emplace_back(ws_.batch_offsets[i] + j, local);
       }
     }
   });
   if (seeded_) {
     for (unsigned l = 0; l < lanes; ++l) {
-      settled_local_cum_ -= lane_unsettled_[l].value;
+      settled_local_cum_ -= ws_.lane_unsettled[l].value;
     }
   }
 
@@ -270,14 +281,14 @@ void DeltaEngine::apply_parallel(std::uint64_t frontier_k, InsertMode mode) {
   // Frontier order is observable (it decides next phase's emission order,
   // hence equal-distance parent tie-breaks downstream): merge the per-lane
   // logs by canonical message index to reproduce the serial insert order.
-  merged_inserts_.clear();
+  ws_.merged_inserts.clear();
   for (unsigned l = 0; l < lanes; ++l) {
-    const auto& inserts = lane_inserts_[l].value;
-    merged_inserts_.insert(merged_inserts_.end(), inserts.begin(),
-                           inserts.end());
+    const auto& inserts = ws_.lane_inserts[l].value;
+    ws_.merged_inserts.insert(ws_.merged_inserts.end(), inserts.begin(),
+                              inserts.end());
   }
-  std::sort(merged_inserts_.begin(), merged_inserts_.end());
-  for (const auto& [idx, v] : merged_inserts_) frontier_.push_back(v);
+  std::sort(ws_.merged_inserts.begin(), ws_.merged_inserts.end());
+  for (const auto& [idx, v] : ws_.merged_inserts) ws_.frontier.push_back(v);
 }
 
 void DeltaEngine::short_phases(std::uint64_t k) {
@@ -292,19 +303,20 @@ void DeltaEngine::short_phases(std::uint64_t k) {
   const PhaseDetail::Kind detail_kind =
       bf_regime ? PhaseDetail::Kind::kBellmanFord : PhaseDetail::Kind::kShort;
 
-  while (any_active_globally(!frontier_.empty())) {
+  while (any_active_globally(!ws_.frontier.empty())) {
     ++phases_;
     ScopedSpan span(tlane_,
                     bf_regime ? SpanCat::kBellmanFord : SpanCat::kShortPhase,
                     k);
     // Pop the frontier: stamp epoch membership, clear flags.
-    std::vector<vid_t> active = std::move(frontier_);
-    frontier_.clear();
+    std::vector<vid_t>& active = ws_.active;
+    active.swap(ws_.frontier);
+    ws_.frontier.clear();
     for (const vid_t u : active) {
-      in_frontier_[u] = 0;
-      if (member_stamp_[u] != epoch_) {
-        member_stamp_[u] = epoch_;
-        members_.push_back(u);
+      ws_.in_frontier[u] = 0;
+      if (ws_.member_stamp[u] != ws_.epoch) {
+        ws_.member_stamp[u] = ws_.epoch;
+        ws_.members.push_back(u);
       }
     }
 
@@ -313,7 +325,7 @@ void DeltaEngine::short_phases(std::uint64_t k) {
     // proposed distance falls outside the current bucket (those are
     // outer-short edges, deferred to the long phase).
     const unsigned lanes = ctx_.pool().lanes();
-    begin_relax_emit();
+    begin_relax_emit(/*reduce=*/true);
     auto arcs_of = [&](vid_t u) {
       return classify ? view_.short_arcs(u) : view_.all_arcs(u);
     };
@@ -322,16 +334,14 @@ void DeltaEngine::short_phases(std::uint64_t k) {
         arcs_of, [&](unsigned lane, vid_t u, const Arc& a) {
           const dist_t nd = dist_[u] + a.w;
           if (ios && nd > limit) return;
-          relax_pool_.shard(lane, job_.part.owner(a.to))
-              .push_back({a.to, nd, to_global(u)});
-          ++lane_emitted_[lane].value;
+          ++ws_.lane_emitted[lane].value;
+          push_relax(lane, {a.to, nd, to_global(u)});
         });
     const auto [emitted, max_lane] = emit_totals();
     relax_counter += emitted;
 
     const std::uint64_t posted = relax_exchange(
-        bf_regime ? PhaseKind::kBellmanFord : PhaseKind::kShortPhase,
-        /*allow_reduction=*/true);
+        bf_regime ? PhaseKind::kBellmanFord : PhaseKind::kShortPhase);
     const std::uint64_t applied = apply_incoming(k, InsertMode::kBucket);
 
     // Modeled rank time is bottlenecked by the busiest lane: generation by
@@ -372,7 +382,7 @@ bool DeltaEngine::decide_long_mode(std::uint64_t k) {
   if (!need_estimates) return pull;
 
   const PushPullLocal local = estimate_push_pull_local(
-      view_, dist_, settled_, members_, k, o.delta, o.estimator,
+      view_, dist_, ws_.settled, ws_.members, k, o.delta, o.estimator,
       job_.max_weight != 0 ? job_.max_weight : job_.graph->max_weight(), o.ios);
   const PpReduce global = ctx_.allreduce(
       PpReduce{local.push_volume, local.pull_requests, local.push_volume,
@@ -413,32 +423,30 @@ void DeltaEngine::long_phase_push(std::uint64_t k) {
 
   // Long arcs of every settled member; under IOS also the outer-short arcs
   // (short arcs whose proposed distance falls beyond the current bucket).
-  begin_relax_emit();
+  // Fig 7's receiver-side classification counts every emitted relaxation,
+  // so the diagnostic mode ships the unreduced stream.
+  begin_relax_emit(/*reduce=*/!o.collect_bucket_details);
   lane_parallel_arcs(
-      ctx_.pool(), members_, view_, o.heavy_degree_threshold,
+      ctx_.pool(), ws_.members, view_, o.heavy_degree_threshold,
       [&](vid_t u) { return view_.all_arcs(u); },
       [&](unsigned lane, vid_t u, const Arc& a) {
         const dist_t nd = dist_[u] + a.w;
         if (a.w < o.delta) {               // short arc
           if (!ios || nd <= limit) return;  // inner-short: already relaxed
         }
-        relax_pool_.shard(lane, job_.part.owner(a.to))
-            .push_back({a.to, nd, to_global(u)});
-        ++lane_emitted_[lane].value;
+        ++ws_.lane_emitted[lane].value;
+        push_relax(lane, {a.to, nd, to_global(u)});
       });
   const auto [emitted, max_lane] = emit_totals();
   counters_.long_push_relaxations += emitted;
 
-  // Fig 7's receiver-side classification counts every emitted relaxation,
-  // so the diagnostic mode ships the unreduced stream.
-  const std::uint64_t posted = relax_exchange(
-      PhaseKind::kLongPush, /*allow_reduction=*/!o.collect_bucket_details);
+  const std::uint64_t posted = relax_exchange(PhaseKind::kLongPush);
 
   // Receiver-side edge classification (Fig 7): destination bucket relative
   // to k, *before* applying the batch.
   if (o.collect_bucket_details) {
     CatReduce cat;
-    for (const auto& batch : relax_pool_.incoming()) {
+    for (const auto& batch : ws_.relax_pool.incoming()) {
       for (const RelaxMsg& m : batch) {
         const std::uint64_t b = bucket_of(dist_[to_local(m.v)], o.delta);
         if (b == k) {
@@ -476,22 +484,22 @@ void DeltaEngine::long_phase_pull(std::uint64_t k) {
   // Modeled lane loads. Pull work is attributed to each vertex's owner
   // lane (the paper's fixed thread ownership); with load balancing on,
   // heavy vertices' work is spread round-robin over all lanes instead.
-  for (auto& l : lane_load_) l.value = 0;
+  for (auto& l : ws_.lane_load) l.value = 0;
   std::uint64_t spread_cursor = 0;
   auto charge = [&](vid_t local, std::uint64_t units) {
     if (units == 0) return;
     if (o.heavy_degree_threshold != 0 &&
         view_.degree(local) > o.heavy_degree_threshold) {
       for (std::uint64_t i = 0; i < units; ++i) {
-        ++lane_load_[spread_cursor++ % lanes].value;
+        ++ws_.lane_load[spread_cursor++ % lanes].value;
       }
     } else {
-      lane_load_[local % lanes].value += units;
+      ws_.lane_load[local % lanes].value += units;
     }
   };
   auto take_max_load = [&] {
     std::uint64_t best = 0;
-    for (auto& l : lane_load_) {
+    for (auto& l : ws_.lane_load) {
       best = std::max(best, l.value);
       l.value = 0;
     }
@@ -504,7 +512,7 @@ void DeltaEngine::long_phase_pull(std::uint64_t k) {
   // under IOS the short arcs also qualify wholesale (w < Delta <= bound).
   // Requests are not reducible (each (u, v, w) asks a distinct question),
   // so they ride the pool purely for buffer reuse and zero-copy transport.
-  req_pool_.begin_phase();
+  ws_.req_pool.begin_phase();
   std::uint64_t requests = 0;
   for (vid_t v = 0; v < nloc_; ++v) {
     // Preset-settled vertices still pull: their distance is an upper bound
@@ -512,7 +520,7 @@ void DeltaEngine::long_phase_pull(std::uint64_t k) {
     // phase is the only channel that improvement could arrive on (the
     // members' push was pruned away). Vertices settled *by this sweep* are
     // final, exactly as in a standard run.
-    if (settled_[v] && !(seeded_ && preset_[v])) continue;
+    if (ws_.settled[v] && !(seeded_ && ws_.preset[v])) continue;
     const dist_t dv = dist_[v];
     if (bucket_of(dv, o.delta) <= k) continue;
     const dist_t bound = dv == kInfDist ? kInfDist : dv - kdelta;
@@ -520,13 +528,13 @@ void DeltaEngine::long_phase_pull(std::uint64_t k) {
     std::uint64_t sent = 0;
     for (const Arc& a : view_.long_arcs(v)) {
       if (static_cast<dist_t>(a.w) >= bound) break;  // weight-sorted
-      req_pool_.shard(0, job_.part.owner(a.to)).push_back({a.to, gv, a.w});
+      ws_.req_pool.shard(0, job_.part.owner(a.to)).push_back({a.to, gv, a.w});
       ++sent;
     }
     if (o.ios) {
       for (const Arc& a : view_.short_arcs(v)) {
         if (static_cast<dist_t>(a.w) >= bound) continue;
-        req_pool_.shard(0, job_.part.owner(a.to)).push_back({a.to, gv, a.w});
+        ws_.req_pool.shard(0, job_.part.owner(a.to)).push_back({a.to, gv, a.w});
         ++sent;
       }
     }
@@ -534,32 +542,30 @@ void DeltaEngine::long_phase_pull(std::uint64_t k) {
     charge(v, sent);
   }
   counters_.pull_requests += requests;
-  ctx_.exchange_pooled(req_pool_, PhaseKind::kPullRequest);
+  ctx_.exchange_pooled(ws_.req_pool, PhaseKind::kPullRequest);
   std::uint64_t req_received = 0;
-  for (const auto& b : req_pool_.incoming()) req_received += b.size();
+  for (const auto& b : ws_.req_pool.incoming()) req_received += b.size();
   const StepReduce red_req = account_step(
       take_max_load() + req_received / lanes + 1,
       requests * sizeof(PullReqMsg), requests);
 
   // Response side: answer only for sources settled in the current bucket.
-  begin_relax_emit();
+  begin_relax_emit(/*reduce=*/true);
   std::uint64_t responses = 0;
-  for (const auto& batch : req_pool_.incoming()) {
+  for (const auto& batch : ws_.req_pool.incoming()) {
     for (const PullReqMsg& m : batch) {
       const vid_t lu = to_local(m.u);
       assert(lu < nloc_);
       // Answering a request is work done by u's owner lane; heavy hubs
       // attract request floods, the very imbalance §III-E addresses.
       charge(lu, 1);
-      if (member_stamp_[lu] != epoch_) continue;  // u not in B_k
-      relax_pool_.shard(0, job_.part.owner(m.v))
-          .push_back({m.v, dist_[lu] + m.w, m.u});
+      if (ws_.member_stamp[lu] != ws_.epoch) continue;  // u not in B_k
+      push_relax(0, {m.v, dist_[lu] + m.w, m.u});
       ++responses;
     }
   }
   counters_.pull_responses += responses;
-  const std::uint64_t resp_posted =
-      relax_exchange(PhaseKind::kPullResponse, /*allow_reduction=*/true);
+  const std::uint64_t resp_posted = relax_exchange(PhaseKind::kPullResponse);
   const std::uint64_t applied = apply_incoming(kInfBucket, InsertMode::kNone);
   ++phases_;
   const StepReduce red_resp = account_step(
@@ -578,13 +584,16 @@ void DeltaEngine::long_phase_pull(std::uint64_t k) {
 }
 
 void DeltaEngine::process_epoch(std::uint64_t k) {
-  ++epoch_;
-  members_.clear();
+  ++ws_.epoch;
+  ws_.members.clear();
   {
     TimedSection sw(counters_.wall_bucket_time_s, tlane_, SpanCat::kBucketScan,
                     k);
-    frontier_ = collect_bucket_members(dist_, settled_, k, opt_.delta);
-    for (const vid_t u : frontier_) in_frontier_[u] = 1;
+    // next_bucket already collected the members of this rank's smallest
+    // bucket; a rank whose smallest bucket lies above k has none in B_k.
+    ws_.frontier.clear();
+    if (k == local_min_bucket_) ws_.frontier.swap(ws_.bucket_members);
+    for (const vid_t u : ws_.frontier) ws_.in_frontier[u] = 1;
     model_bkt_ns_ += cost_.scan_cost(job_.part.block_size());
   }
   ++buckets_;
@@ -606,8 +615,8 @@ void DeltaEngine::process_epoch(std::uint64_t k) {
     // BktTime (it used to be an unattributed sliver of OtherTime).
     TimedSection sw(counters_.wall_bucket_time_s, tlane_, SpanCat::kBucketScan,
                     k);
-    for (const vid_t u : members_) settled_[u] = 1;
-    settled_local_cum_ += members_.size();
+    for (const vid_t u : ws_.members) ws_.settled[u] = 1;
+    settled_local_cum_ += ws_.members.size();
   }
 }
 
@@ -618,34 +627,33 @@ void DeltaEngine::bellman_ford_tail(std::uint64_t from_bucket) {
   {
     TimedSection sw(counters_.wall_bucket_time_s, tlane_, SpanCat::kBucketScan,
                     from_bucket);
-    frontier_ = collect_unsettled_reached(dist_, settled_);
-    for (const vid_t u : frontier_) in_frontier_[u] = 1;
+    ws_.frontier = collect_unsettled_reached(dist_, ws_.settled);
+    for (const vid_t u : ws_.frontier) ws_.in_frontier[u] = 1;
     model_bkt_ns_ += cost_.scan_cost(job_.part.block_size());
   }
   ++buckets_;  // the grouped bucket "B"
 
-  while (any_active_globally(!frontier_.empty())) {
+  while (any_active_globally(!ws_.frontier.empty())) {
     ++phases_;
     ScopedSpan span(tlane_, SpanCat::kBellmanFord, from_bucket);
-    std::vector<vid_t> active = std::move(frontier_);
-    frontier_.clear();
-    for (const vid_t u : active) in_frontier_[u] = 0;
+    std::vector<vid_t>& active = ws_.active;
+    active.swap(ws_.frontier);
+    ws_.frontier.clear();
+    for (const vid_t u : active) ws_.in_frontier[u] = 0;
 
     const unsigned lanes = ctx_.pool().lanes();
-    begin_relax_emit();
+    begin_relax_emit(/*reduce=*/true);
     lane_parallel_arcs(
         ctx_.pool(), active, view_, opt_.heavy_degree_threshold,
         [&](vid_t u) { return view_.all_arcs(u); },
         [&](unsigned lane, vid_t u, const Arc& a) {
-          relax_pool_.shard(lane, job_.part.owner(a.to))
-              .push_back({a.to, dist_[u] + a.w, to_global(u)});
-          ++lane_emitted_[lane].value;
+          ++ws_.lane_emitted[lane].value;
+          push_relax(lane, {a.to, dist_[u] + a.w, to_global(u)});
         });
     const auto [emitted, max_lane] = emit_totals();
     counters_.bf_relaxations += emitted;
 
-    const std::uint64_t posted =
-        relax_exchange(PhaseKind::kBellmanFord, /*allow_reduction=*/true);
+    const std::uint64_t posted = relax_exchange(PhaseKind::kBellmanFord);
     // Any improved vertex becomes active next round, bucket-agnostic.
     const std::uint64_t applied =
         apply_incoming(kInfBucket, InsertMode::kAny);
@@ -664,9 +672,9 @@ void DeltaEngine::apply_seeds() {
     if (job_.part.owner(m.v) != ctx_.rank()) continue;
     const vid_t local = to_local(m.v);
     if (m.nd >= dist_[local]) continue;
-    if (settled_[local]) {
-      settled_[local] = 0;
-      preset_[local] = 0;
+    if (ws_.settled[local]) {
+      ws_.settled[local] = 0;
+      ws_.preset[local] = 0;
       --settled_local_cum_;
     }
     dist_[local] = m.nd;

@@ -36,6 +36,54 @@ struct PullReqMsg {
   weight_t w;  ///< weight of edge <u, v>
 };
 
+/// Per-rank scratch of the bucket-synchronous engine, kept in
+/// RankCtx::workspace<DeltaWorkspace>() so it lives as long as the rank
+/// (the whole session under MachineSession): pools, the filter table and
+/// per-vertex arrays keep their memory from one solve to the next. Every
+/// solve re-sizes and re-initializes what it reads; nothing here carries
+/// answers between solves. Rank-thread-owned; worker lanes touch only
+/// their own lane's entries or the vertex range an apply assigns them.
+struct DeltaWorkspace {
+  SendBufferPool<RelaxMsg> relax_pool;
+  SendBufferPool<PullReqMsg> req_pool;
+  /// Sender-side reduction over each destination's canonical stream: at
+  /// emission on one lane (keys: global vertex ids), before the exchange
+  /// on more (keys: destination-local ids); see push_relax and
+  /// relax_exchange.
+  SenderReducer<dist_t> filter;
+
+  std::vector<char> settled;
+  /// Seeded mode: preset-settled vertices that have not been unsettled or
+  /// re-settled yet. They skip frontier collection like any settled vertex
+  /// but must still issue pull requests: their tentative distance is only
+  /// an upper bound until the sweep ends.
+  std::vector<char> preset;
+  std::vector<char> in_frontier;
+  /// Epoch when a vertex joined B_k. `epoch` keeps counting across solves,
+  /// so stamps of earlier solves never match and need no refill.
+  std::vector<std::uint64_t> member_stamp;
+  std::uint64_t epoch = 0;
+  std::vector<vid_t> members;         ///< settled set of the current epoch
+  std::vector<vid_t> frontier;
+  std::vector<vid_t> active;          ///< the frontier a phase pops
+  std::vector<vid_t> bucket_members;  ///< next_bucket's local-min bucket
+
+  /// Per-lane counters, cache-line padded: adjacent uint64s written by all
+  /// lanes at emission rate were a false-sharing hot spot.
+  std::vector<CacheAligned<std::uint64_t>> lane_emitted;
+  std::vector<CacheAligned<std::uint64_t>> lane_load;
+  /// Per-lane unsettle counts of one parallel apply (lanes may not touch
+  /// the rank's settled count directly).
+  std::vector<CacheAligned<std::uint64_t>> lane_unsettled;
+  /// Parallel apply: per-lane (canonical message index, vertex) insert
+  /// logs, merged by index on the rank thread to reproduce the serial
+  /// apply's frontier order exactly.
+  std::vector<CacheAligned<std::vector<std::pair<std::uint64_t, vid_t>>>>
+      lane_inserts;
+  std::vector<std::uint64_t> batch_offsets;  ///< segment offsets
+  std::vector<std::pair<std::uint64_t, vid_t>> merged_inserts;
+};
+
 class DeltaEngine {
  public:
   DeltaEngine(RankCtx& ctx, const EngineJob& job, const SsspOptions& options);
@@ -90,19 +138,30 @@ class DeltaEngine {
     kAny,     ///< Bellman-Ford tail: every improved vertex re-activates
   };
 
-  /// Readies relax_pool_ for a phase's emission and zeroes lane_emitted_.
-  void begin_relax_emit();
+  /// Readies the relax pool and the filter for a phase's emission and
+  /// zeroes the lane emission counters. `reduce` turns sender-side
+  /// reduction on for the phase.
+  void begin_relax_emit(bool reduce);
 
-  /// Sums/maxes lane_emitted_ into (emitted, max_lane).
+  /// Pushes `m` into lane `lane`'s shard for its owner. With one lane the
+  /// rank thread emits in canonical order, so the filter drops a provable
+  /// no-op right here (docs/PERFORMANCE.md).
+  void push_relax(unsigned lane, const RelaxMsg& m) {
+    if (filter_at_emit_ && !ws_.filter.admit(m.v, m.nd)) return;
+    ws_.relax_pool.shard(lane, job_.part.owner(m.v)).push_back(m);
+  }
+
+  /// Sums/maxes the lane emission counters into (emitted, max_lane).
   std::pair<std::uint64_t, std::uint64_t> emit_totals() const;
 
-  /// Sender-side reduction (when `allow_reduction`) followed by the
-  /// exchange. Returns the number of messages that actually
-  /// crossed (post-reduction, self-delivery included) — the byte basis for
-  /// account_step. Incoming batches land in relax_pool_.
-  std::uint64_t relax_exchange(PhaseKind kind, bool allow_reduction);
+  /// Exchanges the relax pool. With several lanes a reducing phase's
+  /// shards are filtered first, lane by lane (canonical order). Returns
+  /// the number of messages that actually crossed (post-reduction,
+  /// self-delivery included) — the byte basis for account_step. Incoming
+  /// batches land in the relax pool.
+  std::uint64_t relax_exchange(PhaseKind kind);
 
-  /// Applies relax_pool_.incoming() to owned vertices, serially or
+  /// Applies the relax pool's incoming batches to owned vertices, serially or
   /// lane-partitioned by destination vertex range (when the rank has >1
   /// lanes and something arrived). Returns the number of incoming messages.
   std::uint64_t apply_incoming(std::uint64_t frontier_k, InsertMode mode);
@@ -127,44 +186,20 @@ class DeltaEngine {
   std::span<vid_t> parent_;  ///< owned slice of the parent array (optional)
   vid_t begin_ = 0;
   vid_t nloc_ = 0;
-
-  std::vector<char> settled_;
-  std::vector<std::uint64_t> member_stamp_;  ///< epoch when vertex joined B_k
-  std::vector<vid_t> members_;               ///< settled set of current epoch
-  std::vector<char> in_frontier_;
-  std::vector<vid_t> frontier_;
-  std::uint64_t epoch_ = 0;
+  DeltaWorkspace& ws_;  ///< this rank's session-long scratch
+  /// Where the current phase's reduction runs (begin_relax_emit): in
+  /// push_relax on one lane, in relax_exchange on more; neither when the
+  /// phase ships its stream unreduced.
+  bool filter_at_emit_ = false;
+  bool filter_at_exchange_ = false;
   std::uint64_t settled_local_cum_ = 0;
+  /// This rank's smallest unsettled bucket found by the last next_bucket
+  /// scan; ws_.bucket_members holds that bucket's locals.
+  std::uint64_t local_min_bucket_ = kInfBucket;
 
   // Seeded mode (repair) state; empty/false on standard runs.
   bool seeded_ = false;
-  /// Preset-settled vertices that have not been unsettled or re-settled
-  /// yet. They skip frontier collection like any settled vertex but must
-  /// still issue pull requests: their tentative distance is only an upper
-  /// bound until the sweep ends.
-  std::vector<char> preset_;
   std::span<char> changed_;  ///< owned slice of EngineJob::changed
-  /// Per-lane unsettle counts of one parallel apply (lanes may not touch
-  /// settled_local_cum_ directly).
-  std::vector<CacheAligned<std::uint64_t>> lane_unsettled_;
-
-  // Relax data path state. The pools are rank-thread-owned; worker lanes
-  // only ever touch their own lane's shards (emission) or the disjoint
-  // vertex range a parallel apply assigns them.
-  SendBufferPool<RelaxMsg> relax_pool_;
-  SendBufferPool<PullReqMsg> req_pool_;
-  SenderReducer<dist_t> reducer_;
-  /// Per-lane counters, cache-line padded: adjacent uint64s written by all
-  /// lanes at emission rate were a false-sharing hot spot.
-  std::vector<CacheAligned<std::uint64_t>> lane_emitted_;
-  std::vector<CacheAligned<std::uint64_t>> lane_load_;
-  /// Parallel apply: per-lane (canonical message index, vertex) insert logs,
-  /// merged by index on the rank thread to reproduce the serial apply's
-  /// frontier order exactly.
-  std::vector<CacheAligned<std::vector<std::pair<std::uint64_t, vid_t>>>>
-      lane_inserts_;
-  std::vector<std::uint64_t> batch_offsets_;  ///< scratch: segment offsets
-  std::vector<std::pair<std::uint64_t, vid_t>> merged_inserts_;  ///< scratch
 
   RankCounters counters_;
   /// TrafficCounters sync tallies at construction; finalize() reports the

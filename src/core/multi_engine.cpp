@@ -178,17 +178,22 @@ class MultiEngine {
   /// pool_.incoming(). Returns the post-reduction message count (the byte
   /// basis for account_step).
   std::uint64_t exchange_phase(PhaseKind kind) {
-    // Key = (destination local id, slot): slots are independent folds.
+    // One stream per destination shard, compacted in place. Key =
+    // (destination local id, slot): slots are independent folds, and the
+    // table spans one block times the slot count, not n times it.
     reducer_.ensure(sh_.part.block_size() * k_);
     for (rank_t d = 0; d < ctx_.num_ranks(); ++d) {
       const vid_t dest_begin = sh_.part.begin(d);
-      reducer_.begin_dest();
-      reducer_.reduce(
-          pool_.shard(0, d),
-          [this, dest_begin](const MultiRelaxMsg& m) {
-            return static_cast<std::size_t>(m.v - dest_begin) * k_ + m.slot;
-          },
-          [](const MultiRelaxMsg& m) { return m.nd; });
+      std::vector<MultiRelaxMsg>& shard = pool_.shard(0, d);
+      reducer_.begin_stream();
+      std::size_t kept = 0;
+      for (std::size_t i = 0; i < shard.size(); ++i) {
+        const MultiRelaxMsg& m = shard[i];
+        const std::size_t key =
+            static_cast<std::size_t>(m.v - dest_begin) * k_ + m.slot;
+        if (reducer_.admit(key, m.nd)) shard[kept++] = m;
+      }
+      shard.resize(kept);
     }
     const std::uint64_t posted = pool_.pending_messages();
     ctx_.exchange_pooled(pool_, kind);

@@ -80,12 +80,14 @@ SteppingEngine::SteppingEngine(RankCtx& ctx, const EngineJob& job,
       begin_(job.part.begin(ctx.rank())),
       nloc_(job.part.count(ctx.rank())),
       pq_(options.delta),
+      ws_(ctx.workspace<SteppingWorkspace>()),
       cost_(options.cost_model) {
   dist_ = std::span<dist_t>(job_.dist->data() + begin_, nloc_);
   if (job_.parent != nullptr) {
     parent_ = std::span<vid_t>(job_.parent->data() + begin_, nloc_);
   }
-  relax_pool_.configure(/*lanes=*/1, ctx_.num_ranks());
+  ws_.relax_pool.configure(/*lanes=*/1, ctx_.num_ranks());
+  ws_.filter.ensure(job_.part.num_vertices());
 
   sync0_allreduces_ = ctx_.traffic().allreduces;
   sync0_barriers_ = ctx_.traffic().barriers;
@@ -209,9 +211,11 @@ std::uint64_t SteppingEngine::drain_and_relax(dist_t t) {
         continue;
       }
       for (const Arc& a : view_.all_arcs(lv)) {
-        relax_pool_.shard(0, job_.part.owner(a.to))
-            .push_back({a.to, d + a.w, v});
         ++emitted;
+        // Sender-side reduction at emission time (docs/PERFORMANCE.md).
+        if (!ws_.filter.admit(a.to, d + a.w)) continue;
+        ws_.relax_pool.shard(0, job_.part.owner(a.to))
+            .push_back({a.to, d + a.w, v});
       }
     }
   }
@@ -219,29 +223,11 @@ std::uint64_t SteppingEngine::drain_and_relax(dist_t t) {
   return emitted;
 }
 
-std::uint64_t SteppingEngine::relax_exchange() {
-  const rank_t ranks = ctx_.num_ranks();
-  reducer_.ensure(job_.part.block_size());
-  for (rank_t d = 0; d < ranks; ++d) {
-    const vid_t dest_begin = job_.part.begin(d);
-    reducer_.begin_dest();
-    reducer_.reduce(
-        relax_pool_.shard(0, d),
-        [dest_begin](const RelaxMsg& m) {
-          return static_cast<std::size_t>(m.v - dest_begin);
-        },
-        [](const RelaxMsg& m) { return m.nd; });
-  }
-  const std::uint64_t posted = relax_pool_.pending_messages();
-  ctx_.exchange_pooled(relax_pool_, PhaseKind::kShortPhase);
-  return posted;
-}
-
 std::uint64_t SteppingEngine::apply_incoming() {
   std::uint64_t total = 0;
-  for (const auto& batch : relax_pool_.incoming()) total += batch.size();
+  for (const auto& batch : ws_.relax_pool.incoming()) total += batch.size();
   ScopedSpan span(tlane_, SpanCat::kApply, total);
-  for (const auto& batch : relax_pool_.incoming()) {
+  for (const auto& batch : ws_.relax_pool.incoming()) {
     for (const RelaxMsg& m : batch) {
       const vid_t local = to_local(m.v);
       assert(local < nloc_);
@@ -272,9 +258,12 @@ void SteppingEngine::settle_below(dist_t t) {
   while (any_active_globally(has_work_below())) {
     ++phases_;
     ScopedSpan span(tlane_, SpanCat::kShortPhase, steps_);
-    relax_pool_.begin_phase();
+    ws_.relax_pool.begin_phase();
+    ws_.filter.begin_stream();
     const std::uint64_t emitted = drain_and_relax(t);
-    const std::uint64_t posted = relax_exchange();
+    // Messages that crossed (post-reduction): the byte basis.
+    const std::uint64_t posted = ws_.relax_pool.pending_messages();
+    ctx_.exchange_pooled(ws_.relax_pool, PhaseKind::kShortPhase);
     const std::uint64_t applied = apply_incoming();
     account_round(emitted + applied, posted * sizeof(RelaxMsg), emitted);
   }

@@ -47,6 +47,15 @@
 
 namespace parsssp {
 
+/// Per-rank relax buffers of the stepping engines, kept in
+/// RankCtx::workspace<SteppingWorkspace>() so they outlive one solve (the
+/// step loop is rank-thread serial: one lane, one filter stream per round).
+struct SteppingWorkspace {
+  SendBufferPool<RelaxMsg> relax_pool;
+  /// Emission-time sender-side reduction, keyed on the global vertex id.
+  SenderReducer<dist_t> filter;
+};
+
 class SteppingEngine {
  public:
   SteppingEngine(RankCtx& ctx, const EngineJob& job,
@@ -75,10 +84,6 @@ class SteppingEngine {
   /// entries, deferring live entries at or above `t`, and relaxing the
   /// rest. Returns the number of relaxations emitted.
   std::uint64_t drain_and_relax(dist_t t);
-
-  /// Sender-side reduction + exchange of relax_pool_. Returns messages
-  /// that crossed, the byte basis.
-  std::uint64_t relax_exchange();
 
   /// Applies incoming batches: strict-<, push-on-improve. Returns the
   /// number of incoming messages.
@@ -114,10 +119,8 @@ class SteppingEngine {
   /// pop_batch target, reused across rounds for its capacity.
   std::vector<LazyBucketQueue::Entry> batch_;
 
-  /// Outgoing relax shards (single lane: the step loop is rank-thread
-  /// serial) plus the sender-side reduction scratch.
-  SendBufferPool<RelaxMsg> relax_pool_;
-  SenderReducer<dist_t> reducer_;
+  /// Outgoing relax shards and their emission filter.
+  SteppingWorkspace& ws_;
 
   RankCounters counters_;
   /// TrafficCounters sync tallies at construction; finalize() reports the

@@ -22,6 +22,13 @@
 // at runtime, and exchange() stamps each post/take with the rank's round
 // number so the ExchangeBoard can catch ranks whose collective calls
 // diverged. See runtime/protocol_check.hpp.
+//
+// Engine scratch that should outlive one job (send pools, reduction
+// tables, per-vertex arrays) lives in RankCtx::workspace<T>(): one object
+// per type, owned by the rank thread and destroyed with the RankCtx — at
+// the end of the run under Machine, at the end of the session under
+// MachineSession, where back-to-back solves reuse it instead of
+// re-allocating and re-faulting it.
 #pragma once
 
 #include <exception>
@@ -29,6 +36,8 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <typeindex>
+#include <typeinfo>
 #include <vector>
 
 #include "core/sync.hpp"
@@ -78,6 +87,23 @@ class RankCtx {
   void set_trace(TraceLane* lane) {
     check_owner("set_trace()");
     trace_ = lane;
+  }
+
+  /// The rank's workspace of type T: default-constructed on first use,
+  /// then the same object on every later call until the RankCtx dies (see
+  /// the file comment). Rank-owned state: worker lanes never call this and
+  /// only touch the parts the rank thread hands them.
+  template <typename T>
+  T& workspace() {
+    check_owner("workspace()");
+    const std::type_index type(typeid(T));
+    for (WorkspaceSlot& slot : workspaces_) {
+      if (slot.type == type) return *static_cast<T*>(slot.object.get());
+    }
+    WorkspaceSlot slot{type,
+                       {new T(), [](void* p) { delete static_cast<T*>(p); }}};
+    workspaces_.push_back(std::move(slot));
+    return *static_cast<T*>(workspaces_.back().object.get());
   }
 
   void barrier() {
@@ -248,6 +274,11 @@ class RankCtx {
                  (num_ranks() - 1) * sizeof(T));
   }
 
+  struct WorkspaceSlot {
+    std::type_index type;
+    std::unique_ptr<void, void (*)(void*)> object;
+  };
+
   rank_t rank_;
   ExchangeBoard& board_;
   CollectiveContext& collectives_;
@@ -259,6 +290,7 @@ class RankCtx {
   std::thread::id owner_;
   std::uint64_t exchange_round_ = 0;
   TraceLane* trace_ = nullptr;  ///< rank-owned; see set_trace()
+  std::vector<WorkspaceSlot> workspaces_;  ///< rank-owned; see workspace()
   ThreadPool pool_;
 };
 

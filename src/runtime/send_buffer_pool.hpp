@@ -13,7 +13,11 @@
 //   * recycling: begin_phase() moves applied incoming buffers onto a free
 //     list and re-seats empty shards from it, so vector capacity circulates
 //     sender -> board -> receiver -> receiver's own shards across phases,
-//     buckets, and (under MachineSession) jobs.
+//     buckets, and (when the pool lives in a session-long
+//     RankCtx::workspace) jobs. The free list keeps at most lanes x ranks
+//     spare buffers — enough to re-seat every shard — and frees the rest:
+//     under asymmetric traffic a rank receives more buffers than it sends,
+//     and an uncapped list would grow for as long as the pool lives.
 //
 // The pool is rank-thread-owned state, like the TrafficCounters it feeds:
 // worker lanes may only touch their own lane's shards (during emission) or
@@ -23,17 +27,22 @@
 // by posting and taking segments in exactly that order, so apply order
 // (and with it equal-distance parent tie-breaks) is deterministic.
 //
-// SenderReducer implements sender-side reduction (see docs/PERFORMANCE.md):
-// within one destination's canonical stream it keeps only the messages
-// that strictly improve on every earlier message for the same key (the
-// running-minimum subsequence). A dropped message m satisfies
-// value(m) >= value(k) for some earlier kept k with the same key, so at
-// the receiver — whose apply is a strict `<` running min seeded with the
-// current distance — m can improve nothing, insert nothing into the
-// frontier, and write no parent, *whatever* the receiver's state is.
-// Dropping it is therefore a provable no-op elimination, and the reduced
-// stream is bit-identical to the full one in effect, not just in outcome
-// distribution. The table is epoch-stamped (no clearing, no hashing).
+// SenderReducer implements sender-side reduction (see docs/PERFORMANCE.md)
+// with one primitive: an emitter opens a stream with begin_stream() and
+// asks admit(key, value) for each message in the stream's canonical order,
+// keeping the message only on true. admit keeps exactly the messages that
+// strictly improve on every earlier admitted message with the same key
+// (the running-minimum subsequence). A dropped message m satisfies
+// value(m) >= value(k) for some earlier kept k with the same key, and k
+// precedes m in the canonical order, so at the receiver — whose apply is a
+// strict `<` running min seeded with the current distance — m can improve
+// nothing, insert nothing into the frontier, and write no parent,
+// *whatever* the receiver's state is. Dropping it is therefore a provable
+// no-op elimination, and the reduced stream is bit-identical to the full
+// one in effect, not just in outcome distribution. A single emitter
+// pushing in canonical order admits as it emits; concurrent lanes fill
+// their shards first and the rank thread admits them in lane order. The
+// table is epoch-stamped (no clearing, no hashing).
 #pragma once
 
 #include <cstddef>
@@ -118,6 +127,25 @@ class SendBufferPool {
     incoming_sources_.push_back(source);
   }
 
+  // -- retention (what a long-lived pool holds on to) ---------------------
+
+  /// Spare buffers on the free list; never more than spare_limit().
+  std::size_t spare_buffers() const { return free_.size(); }
+  std::size_t spare_limit() const {
+    return lanes_.size() * static_cast<std::size_t>(ranks_);
+  }
+
+  /// Elements of capacity held by shards, spare and incoming buffers.
+  std::size_t retained_capacity() const {
+    std::size_t n = 0;
+    for (const auto& lane : lanes_) {
+      for (const auto& shard : lane.value) n += shard.capacity();
+    }
+    for (const auto& buf : free_) n += buf.capacity();
+    for (const auto& buf : incoming_) n += buf.capacity();
+    return n;
+  }
+
  private:
   void recycle_incoming() {
     for (auto& batch : incoming_) retire(std::move(batch));
@@ -126,7 +154,7 @@ class SendBufferPool {
   }
 
   void retire(std::vector<T> buf) {
-    if (buf.capacity() == 0) return;
+    if (buf.capacity() == 0 || free_.size() >= spare_limit()) return;
     buf.clear();
     free_.push_back(std::move(buf));
   }
@@ -142,49 +170,51 @@ class SendBufferPool {
 
 /// Epoch-stamped sender-side reducer; see the file comment for why keeping
 /// the per-key running-minimum subsequence is an exact (bit-identical)
-/// transformation. One instance per engine; the key space is the receiver's
-/// local-id range (times the slot count for the multi-root engine).
-template <typename Value>
+/// transformation. Keys are global vertex ids (delta and stepping
+/// engines), destination-local ids (BFS dedup) or (destination-local id,
+/// slot) pairs (multi-root engine). An entry is a `Stamp` and the running
+/// minimum packed together — 12 bytes for a 32-bit stamp and a 64-bit
+/// distance; when the stamp wraps the stamps are cleared once.
+template <typename Value, typename Stamp = std::uint32_t>
 class SenderReducer {
  public:
-  /// Grows the stamp table to cover keys [0, key_space). Stamps persist
-  /// across calls; no clearing ever happens (epoch advance invalidates).
+  /// Grows the table to cover keys [0, key_space). Stamps persist across
+  /// calls; advancing the epoch invalidates them.
   void ensure(std::size_t key_space) {
-    if (stamp_.size() < key_space) {
-      stamp_.resize(key_space, 0);
-      best_.resize(key_space);
+    if (table_.size() < key_space) table_.resize(key_space);
+  }
+
+  /// Opens a new stream: forgets every earlier admit. Call before the
+  /// first admit.
+  void begin_stream() {
+    if (++epoch_ == 0) {  // wrapped: old stamps would start matching again
+      for (Entry& e : table_) e.stamp = 0;
+      epoch_ = 1;
     }
   }
 
-  /// Opens a destination's canonical stream: subsequent reduce() calls (one
-  /// per lane shard, in lane order) share one running-min table.
-  void begin_dest() { ++epoch_; }
-
-  /// In-place compaction of one shard of the current destination's stream:
-  /// keeps message i iff value(i) strictly improves on every kept earlier
-  /// message with the same key. Returns the number of messages dropped.
-  /// Stable: kept messages retain their relative order.
-  template <typename T, typename KeyFn, typename ValueFn>
-  std::size_t reduce(std::vector<T>& shard, KeyFn key_of, ValueFn value_of) {
-    std::size_t w = 0;
-    for (std::size_t i = 0; i < shard.size(); ++i) {
-      const std::size_t k = key_of(shard[i]);
-      const Value v = value_of(shard[i]);
-      if (stamp_[k] == epoch_ && v >= best_[k]) continue;
-      stamp_[k] = epoch_;
-      best_[k] = v;
-      if (w != i) shard[w] = shard[i];
-      ++w;
-    }
-    const std::size_t dropped = shard.size() - w;
-    shard.resize(w);
-    return dropped;
+  /// True iff `value` strictly improves on every value admitted for `key`
+  /// in the current stream (the caller keeps the message); false means the
+  /// message is a provable no-op at the receiver and is dropped.
+  bool admit(std::size_t key, Value value) {
+    Entry& e = table_[key];
+    if (e.stamp == epoch_ && value >= e.best) return false;
+    e.stamp = epoch_;
+    e.best = value;
+    return true;
   }
 
  private:
-  std::vector<std::uint64_t> stamp_;
-  std::vector<Value> best_;
-  std::uint64_t epoch_ = 0;
+  // Stamp and running minimum side by side (one cache line per admit),
+  // without padding the stamp to the value's alignment.
+#pragma pack(push, 4)
+  struct Entry {
+    Stamp stamp = 0;
+    Value best{};
+  };
+#pragma pack(pop)
+  std::vector<Entry> table_;
+  Stamp epoch_ = 0;
 };
 
 }  // namespace parsssp

@@ -1,9 +1,10 @@
 // Unit tests for the pooled relax data path's building blocks: the
-// SendBufferPool (capacity recycling, canonical delivery order), the
-// SenderReducer (running-minimum no-op elimination), and the zero-copy
-// segment exchange through ExchangeBoard and RankCtx.
+// SendBufferPool (capacity recycling, bounded spares, canonical delivery
+// order), the SenderReducer (running-minimum no-op elimination), and the
+// zero-copy segment exchange through ExchangeBoard and RankCtx.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <numeric>
 #include <vector>
@@ -51,55 +52,109 @@ TEST(SendBufferPool, IncomingBuffersRecycleIntoEmptyShards) {
   (void)shipped;
 }
 
-// The reducer keeps exactly the running-minimum subsequence per key: every
+/// Emits `stream` through `filter` the way an engine does: admit, then
+/// keep on true. Returns the kept messages.
+std::vector<Msg> emit(SenderReducer<std::uint32_t>& filter,
+                      const std::vector<Msg>& stream) {
+  std::vector<Msg> kept;
+  for (const Msg& m : stream) {
+    if (filter.admit(m.v, m.nd)) kept.push_back(m);
+  }
+  return kept;
+}
+
+// admit keeps exactly the running-minimum subsequence per key: every
 // dropped message is >= an earlier kept message with the same key, so it
 // could not have changed any receiver state (strict-< running min).
 TEST(SenderReducer, KeepsRunningMinimumSubsequence) {
   SenderReducer<std::uint32_t> red;
   red.ensure(4);
-  std::vector<Msg> buf = {{0, 9}, {0, 9}, {1, 5}, {0, 7}, {0, 8},
-                          {1, 5}, {0, 3}, {1, 2}, {0, 3}};
-  red.begin_dest();
-  const std::size_t dropped =
-      red.reduce(buf, [](const Msg& m) { return std::size_t(m.v); },
-                 [](const Msg& m) { return m.nd; });
+  const std::vector<Msg> buf = {{0, 9}, {0, 9}, {1, 5}, {0, 7}, {0, 8},
+                                {1, 5}, {0, 3}, {1, 2}, {0, 3}};
+  red.begin_stream();
+  const std::vector<Msg> kept = emit(red, buf);
   const std::vector<Msg> want = {{0, 9}, {1, 5}, {0, 7}, {0, 3}, {1, 2}};
-  EXPECT_EQ(buf, want);  // stable: original relative order retained
-  EXPECT_EQ(dropped, 4u);
+  EXPECT_EQ(kept, want);  // stable: original relative order retained
+  EXPECT_EQ(buf.size() - kept.size(), 4u);
 }
 
-// begin_dest() opens a fresh stream: per-destination tables are logically
-// independent even though the stamp storage is shared (epoch advance).
-TEST(SenderReducer, DestinationsAreIndependentStreams) {
+// begin_stream() opens a fresh stream: what an earlier stream admitted is
+// forgotten even though the stamp storage is shared (epoch advance).
+TEST(SenderReducer, StreamsAreIndependent) {
   SenderReducer<std::uint32_t> red;
   red.ensure(1);
-  std::vector<Msg> a = {{0, 5}};
-  std::vector<Msg> b = {{0, 5}};  // same key+value, different destination
-  red.begin_dest();
-  red.reduce(a, [](const Msg& m) { return std::size_t(m.v); },
-             [](const Msg& m) { return m.nd; });
-  red.begin_dest();
-  red.reduce(b, [](const Msg& m) { return std::size_t(m.v); },
-             [](const Msg& m) { return m.nd; });
-  EXPECT_EQ(a.size(), 1u);
-  EXPECT_EQ(b.size(), 1u);  // not dropped against destination a's stream
+  const std::vector<Msg> a = {{0, 5}};
+  const std::vector<Msg> b = {{0, 5}};  // same key+value, next stream
+  red.begin_stream();
+  EXPECT_EQ(emit(red, a).size(), 1u);
+  red.begin_stream();
+  EXPECT_EQ(emit(red, b).size(), 1u);  // not dropped against a's stream
 }
 
-// Lane shards of one destination share the stream: a message in lane 1
+// Lane shards share the stream, read in lane order: a message in lane 1
 // that does not improve on lane 0's best for the same key is dropped.
 TEST(SenderReducer, LaneShardsShareOneStreamPerDestination) {
   SenderReducer<std::uint32_t> red;
   red.ensure(1);
-  std::vector<Msg> lane0 = {{0, 4}};
-  std::vector<Msg> lane1 = {{0, 6}, {0, 2}};
-  red.begin_dest();
-  red.reduce(lane0, [](const Msg& m) { return std::size_t(m.v); },
-             [](const Msg& m) { return m.nd; });
-  red.reduce(lane1, [](const Msg& m) { return std::size_t(m.v); },
-             [](const Msg& m) { return m.nd; });
-  EXPECT_EQ(lane0.size(), 1u);
+  red.begin_stream();
+  const std::vector<Msg> lane0 = {{0, 4}};
+  const std::vector<Msg> lane1 = {{0, 6}, {0, 2}};
+  EXPECT_EQ(emit(red, lane0), lane0);
   const std::vector<Msg> want1 = {{0, 2}};
-  EXPECT_EQ(lane1, want1);
+  EXPECT_EQ(emit(red, lane1), want1);
+}
+
+// The stamps are narrow; when the epoch wraps, the table is cleared, so a
+// key admitted exactly one stamp period earlier is not mistaken for one
+// admitted in the current stream. (An 8-bit stamp wraps after 255
+// streams; the default 32-bit one after 2^32 - 1.)
+TEST(SenderReducer, EpochWrapForgetsEarlierStreams) {
+  for (int gap = 1; gap <= 600; ++gap) {
+    SenderReducer<std::uint32_t, std::uint8_t> red;
+    red.ensure(2);
+    red.begin_stream();
+    ASSERT_TRUE(red.admit(0, 5));
+    for (int i = 0; i < gap; ++i) red.begin_stream();
+    EXPECT_TRUE(red.admit(0, 9)) << "after " << gap << " streams";
+    EXPECT_FALSE(red.admit(0, 9));  // the stream itself still filters
+  }
+}
+
+// A pool that outlives many phases keeps at most lanes x ranks spare
+// buffers. Rank 0 sends to every peer and receives nothing, so each peer
+// gets more buffers than it ever moves out; without the cap their free
+// lists would grow by one buffer per lane and round.
+TEST(SendBufferPool, AsymmetricTrafficKeepsBoundedSpares) {
+  constexpr rank_t kRanks = 3;
+  constexpr unsigned kLanes = 2;
+  Machine machine({.num_ranks = kRanks, .lanes_per_rank = kLanes});
+  std::vector<std::size_t> max_spares(kRanks, 0);
+  machine.run([&](RankCtx& ctx) {
+    const rank_t r = ctx.rank();
+    SendBufferPool<Msg> pool;
+    pool.configure(kLanes, kRanks);
+    EXPECT_EQ(pool.spare_limit(), std::size_t{kLanes} * kRanks);
+    for (int round = 0; round < 40; ++round) {
+      pool.begin_phase();
+      max_spares[r] = std::max(max_spares[r], pool.spare_buffers());
+      if (r == 0) {
+        for (unsigned l = 0; l < kLanes; ++l) {
+          for (rank_t d = 1; d < kRanks; ++d) {
+            for (std::uint32_t i = 0; i < 50; ++i) {
+              pool.shard(l, d).push_back({i, d});
+            }
+          }
+        }
+      }
+      ctx.exchange_pooled(pool, PhaseKind::kShortPhase);
+    }
+  });
+  for (rank_t r = 0; r < kRanks; ++r) {
+    EXPECT_LE(max_spares[r], std::size_t{kLanes} * kRanks) << "rank " << r;
+  }
+  // The peers did fill their free lists to the cap: the bound is the cap,
+  // not an accident of the traffic.
+  EXPECT_EQ(max_spares[1], std::size_t{kLanes} * kRanks);
 }
 
 // Zero-copy: the vector a sender posts is byte-for-byte the vector the

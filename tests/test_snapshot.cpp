@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <map>
 #include <memory>
 #include <optional>
@@ -332,13 +333,36 @@ TEST(Snapshot, ChurnPublishPinRetireUnderForcedCompactions) {
     });
   }
 
-  for (const EdgeBatch& b : batches) {
-    const AppliedBatch applied = graph.apply(b);
+  // True once a reader has finished a pin beyond `seen`; false after 30 s,
+  // so a reader that never gets going fails the test instead of hanging it.
+  const auto pinned_beyond = [&pins](std::uint64_t seen) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (pins.load(std::memory_order_relaxed) <= seen) {
+      if (std::chrono::steady_clock::now() > deadline) return false;
+      std::this_thread::yield();
+    }
+    return true;
+  };
+  // On a loaded host the 60 publishes can finish before any reader is
+  // scheduled, and then nothing raced. Publish only once a reader runs,
+  // and halfway through wait until a reader has finished a pin since the
+  // publishing began.
+  const bool readers_started = pinned_beyond(0);
+  const std::uint64_t pins_before = pins.load(std::memory_order_relaxed);
+  bool pinned_while_publishing = false;
+  for (std::size_t i = 0; i < batches.size(); ++i) {
+    if (i == batches.size() / 2) {
+      pinned_while_publishing = readers_started && pinned_beyond(pins_before);
+    }
+    const AppliedBatch applied = graph.apply(batches[i]);
     EXPECT_TRUE(applied.compacted);
   }
   stop.store(true, std::memory_order_release);
   for (auto& t : readers) t.join();
-  EXPECT_GT(pins.load(), 0u);
+  EXPECT_TRUE(readers_started) << "no reader pinned a snapshot within 30 s";
+  EXPECT_TRUE(pinned_while_publishing)
+      << "no reader pinned a snapshot while the writer was publishing";
 
   EXPECT_EQ(pinned0->version(), 0u);
   for (vid_t v = 0; v < expect0.num_vertices(); ++v) {
